@@ -19,13 +19,9 @@
 // warning, not a failure (exit 0) — that is how the first run of a new
 // bench seeds CI before its baseline is committed. A missing or
 // unparsable *fresh* record is a hard error (exit 2), like a bad flag.
-//
-// The parser below is a deliberately minimal recursive-descent JSON
-// reader — just enough for the BenchRecord schema this repo emits
-// (obs::BenchRecord::to_json) — so the gate needs no external deps.
+// Records (obs::BenchRecord::to_json) are read with util::parse_json.
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -37,6 +33,7 @@
 #include <string>
 
 #include "util/compare_rules.h"
+#include "util/json_mini.h"
 #include "util/table_printer.h"
 
 namespace {
@@ -46,143 +43,27 @@ struct Record {
   std::map<std::string, double> metrics;  // sorted -> stable report order
 };
 
-/// Minimal JSON scanner: walks the top-level object, keeps "name" and the
-/// flat numeric "metrics" object, structurally skips everything else
-/// (labels, registry). Throws std::runtime_error on malformed input.
-class Parser {
- public:
-  explicit Parser(const std::string& text) : p_(text.c_str()) {}
-
-  Record parse_record() {
-    Record rec;
-    ws();
-    expect('{');
-    bool first = true;
-    while (!peek('}')) {
-      if (!first) expect(',');
-      first = false;
-      const std::string key = parse_string();
-      ws();
-      expect(':');
-      if (key == "name") {
-        rec.name = parse_string();
-      } else if (key == "metrics") {
-        parse_metrics(rec.metrics);
-      } else {
-        skip_value();
-      }
-      ws();
+/// Keep "name" and the flat numeric "metrics" object of one record;
+/// everything else (labels, registry) is ignored. Throws on malformed
+/// input or a non-numeric metric.
+Record parse_record(const std::string& text) {
+  const lmp::util::JsonValue doc = lmp::util::parse_json(text);
+  if (!doc.is_object()) throw std::runtime_error("record is not an object");
+  Record rec;
+  rec.name = doc.get_str("name");
+  if (const lmp::util::JsonValue* metrics = doc.find("metrics")) {
+    if (!metrics->is_object()) {
+      throw std::runtime_error("\"metrics\" is not an object");
     }
-    expect('}');
-    return rec;
-  }
-
- private:
-  void ws() {
-    while (std::isspace(static_cast<unsigned char>(*p_))) ++p_;
-  }
-  bool peek(char c) {
-    ws();
-    return *p_ == c;
-  }
-  void expect(char c) {
-    ws();
-    if (*p_ != c) {
-      const std::size_t tail = std::min<std::size_t>(std::strlen(p_), 20);
-      throw std::runtime_error(std::string("expected '") + c + "' near \"" +
-                               std::string(p_, tail) + "\"");
-    }
-    ++p_;
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (*p_ != '"') {
-      if (*p_ == '\0') throw std::runtime_error("unterminated string");
-      if (*p_ == '\\') {
-        ++p_;
-        // BenchRecord keys only ever need the two escapes JsonWriter
-        // emits; \uXXXX never appears in metric names.
-        if (*p_ == '\0') throw std::runtime_error("dangling escape");
+    for (const auto& [key, value] : metrics->members) {
+      if (value.kind != lmp::util::JsonValue::Kind::kNumber) {
+        throw std::runtime_error("metric '" + key + "' is not a number");
       }
-      out += *p_++;
-    }
-    ++p_;
-    return out;
-  }
-
-  double parse_number() {
-    ws();
-    char* end = nullptr;
-    const double v = std::strtod(p_, &end);
-    if (end == p_) throw std::runtime_error("expected a number");
-    p_ = end;
-    return v;
-  }
-
-  void parse_metrics(std::map<std::string, double>& out) {
-    expect('{');
-    bool first = true;
-    while (!peek('}')) {
-      if (!first) expect(',');
-      first = false;
-      const std::string key = parse_string();
-      ws();
-      expect(':');
-      out[key] = parse_number();
-      ws();
-    }
-    expect('}');
-  }
-
-  void skip_value() {
-    ws();
-    switch (*p_) {
-      case '{': {
-        expect('{');
-        bool first = true;
-        while (!peek('}')) {
-          if (!first) expect(',');
-          first = false;
-          parse_string();
-          ws();
-          expect(':');
-          skip_value();
-          ws();
-        }
-        expect('}');
-        return;
-      }
-      case '[': {
-        expect('[');
-        bool first = true;
-        while (!peek(']')) {
-          if (!first) expect(',');
-          first = false;
-          skip_value();
-          ws();
-        }
-        expect(']');
-        return;
-      }
-      case '"':
-        parse_string();
-        return;
-      case 't':
-      case 'f':
-      case 'n': {
-        while (std::isalpha(static_cast<unsigned char>(*p_))) ++p_;
-        return;
-      }
-      default:
-        parse_number();
-        return;
+      rec.metrics[key] = value.number;
     }
   }
-
-  const char* p_;
-};
+  return rec;
+}
 
 using lmp::util::MetricDirection;
 
@@ -239,13 +120,13 @@ int main(int argc, char** argv) {
   Record base;
   Record fresh;
   try {
-    base = Parser(baseline_text).parse_record();
+    base = parse_record(baseline_text);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: baseline %s: %s\n", baseline_path, e.what());
     return 2;
   }
   try {
-    fresh = Parser(fresh_text).parse_record();
+    fresh = parse_record(fresh_text);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: fresh record %s: %s\n", fresh_path, e.what());
     return 2;

@@ -512,6 +512,17 @@ run_bench_compare_smoke() {
   "${build_dir}/bench/bench_compare" \
       bench/baselines/BENCH_alloc.json \
       "${work}/BENCH_alloc.json" --tol 50
+  # The exit codes are the gate's contract: an unreadable fresh record
+  # is a hard error (2), a missing baseline only warns (0).
+  echo '{"name": "overlap", "metrics": {' > "${work}/malformed.json"
+  local rc=0
+  "${build_dir}/bench/bench_compare" bench/baselines/BENCH_overlap.json \
+      "${work}/malformed.json" > /dev/null 2>&1 || rc=$?
+  [[ ${rc} -eq 2 ]] \
+      || { echo "bench_compare: malformed fresh record exited ${rc}, want 2"; return 1; }
+  "${build_dir}/bench/bench_compare" "${work}/no-such-baseline.json" \
+      "${work}/BENCH_overlap.json" > /dev/null \
+      || { echo "bench_compare: missing baseline must exit 0"; return 1; }
 }
 
 echo "=== pass 1: -Werror build + ctest ==="
@@ -553,13 +564,15 @@ echo "=== pass 2b: TSan build + concurrency test slice ==="
 # the spin/fork-join pools, the task-graph scheduler, the notice
 # dispatcher (the async executor's moving parts), the TofuD fabric
 # model (lock-free VCQ lookups and empty polls, shared-locked STADD
-# lookups, concurrent posters), and the telemetry plane's
-# sampler/series/SLO/stream machinery (admission-only servers, so the
-# slice never races a real simulation under TSan).
+# lookups, concurrent posters), the telemetry plane's
+# sampler/series/SLO/stream machinery (admission-only servers), and the
+# EAM executor comparisons: real simulations whose async runs put the
+# step DAG's force groups, mid-pair joins and forward waits on the
+# pool (a few seconds under TSan).
 cmake -B build-ci-tsan -S . -DLMP_WERROR=ON -DLMP_SANITIZE=thread
 cmake --build build-ci-tsan -j "${JOBS}" --target lmp_tests
 ctest --test-dir build-ci-tsan --output-on-failure -j "${JOBS}" \
-    -R 'TaskGraph|SpinThreadPool|ForkJoin|NoticeDispatcher|TimeSeries|SloAccountant|TelemetrySampler|StreamWatch|AllocTracker|Network|RegisteredBuffer|UtofuContext'
+    -R 'TaskGraph|SpinThreadPool|ForkJoin|NoticeDispatcher|TimeSeries|SloAccountant|TelemetrySampler|StreamWatch|AllocTracker|Network|RegisteredBuffer|UtofuContext|Executor\..*Eam'
 
 echo "=== pass 3: LMP_TRACE=OFF LMP_ALLOC_TRACE=OFF build (instrumentation compiles out) ==="
 cmake -B build-ci-notrace -S . -DLMP_WERROR=ON -DLMP_TRACE=OFF \

@@ -28,7 +28,6 @@ class Eam final : public Potential {
                       GhostDataComm* ghost_comm) override;
 
   double cutoff() const override { return cutoff_; }
-  bool needs_mid_comm() const override { return true; }
 
   /// Tabulated functions (exposed for tests).
   double rho_of_r(double r) const { return rhor_.value(r); }

@@ -40,13 +40,10 @@ class Potential {
 
   virtual double cutoff() const = 0;
 
-  /// True if compute() communicates mid-evaluation (EAM).
-  virtual bool needs_mid_comm() const { return false; }
-
-  // --- staged split evaluation (asynchronous step runtime) -------------
+  // --- staged split evaluation (the step pipeline's force path) --------
   //
   // The split contract decomposes one force evaluation into per-group
-  // tasks the step DAG can schedule against in-flight ghost exchange:
+  // tasks, the nodes of the step DAG (sim/simulation.cpp):
   //
   //   split_begin(atoms, list, newton, groups)
   //   for pass in [0, split_passes()):
@@ -56,35 +53,37 @@ class Potential {
   //
   // Each split_group call writes only that group's private accumulation
   // buffer (never atoms.f()), so concurrent groups cannot race;
-  // split_join reduces the buffers in ascending group order — a fixed
-  // arithmetic order, which is what makes the barrier and async
-  // executors bitwise-identical. Interior groups (mask 0) read no ghost
-  // data in pass 0 and may run before the forward exchange completes;
-  // border groups may run as soon as every direction they read
-  // (group_reads_dir) has landed. Executing the sequence above serially
-  // is exactly what the barrier executor does.
+  // split_join reduces the buffers in ascending group order, a fixed
+  // arithmetic order. Both executors run this one sequence through the
+  // same DAG (barrier serially, async on a pool), so they are
+  // bitwise-identical by construction: scheduling decides only when a
+  // group runs, never the order of a sum. Interior groups (mask 0) read
+  // no ghost data in pass 0 and may run before the forward exchange
+  // completes; border groups may run as soon as every direction they
+  // read (group_reads_dir) has landed. compute() evaluates the same
+  // forces in one call; it is the reference the split path is tested
+  // against.
 
   /// Number of split passes: 1 for plain pair styles, 2 for EAM (density
-  /// then force, with the mid-pair comm inside split_join(0)). 0 means
-  /// the potential does not support the split path.
-  virtual int split_passes() const { return 0; }
+  /// then force, with the mid-pair comm inside split_join(0)).
+  virtual int split_passes() const = 0;
 
   /// Bind one evaluation's inputs and zero the per-group buffers.
   /// `groups` must outlive the evaluation (rebuilt per neighbor epoch).
-  virtual void split_begin(Atoms& /*atoms*/, const NeighborList& /*list*/,
-                           bool /*newton*/, const ForceGroups* /*groups*/) {}
+  virtual void split_begin(Atoms& atoms, const NeighborList& list,
+                           bool newton, const ForceGroups* groups) = 0;
 
   /// Compute group `g`'s contribution to pass `pass` into its private
   /// buffer. Thread-safe across distinct groups of the same pass.
-  virtual void split_group(int /*pass*/, int /*g*/) {}
+  virtual void split_group(int pass, int g) = 0;
 
   /// Reduce pass `pass` in ascending group order and run any mid-pass
   /// ghost communication (EAM rho reverse-add / fp forward). Serial.
-  virtual void split_join(int /*pass*/, GhostDataComm* /*ghost_comm*/) {}
+  virtual void split_join(int pass, GhostDataComm* ghost_comm) = 0;
 
   /// Energy/virial of the completed evaluation (summed per-group in
   /// ascending group order).
-  virtual ForceResult split_finish() { return {}; }
+  virtual ForceResult split_finish() = 0;
 };
 
 }  // namespace lmp::md

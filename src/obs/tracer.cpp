@@ -74,7 +74,9 @@ struct TracerState {
   mutable std::mutex mu;
   std::vector<std::shared_ptr<ThreadBuffer>> buffers;
   std::atomic<std::uint64_t> generation{1};
-  std::atomic<std::size_t> capacity{16384};
+  /// Holds every event of a traced 100-step golden melt on a rank
+  /// thread (~20k: the step DAG's task spans plus comm spans and flows).
+  std::atomic<std::size_t> capacity{32768};
   std::atomic<int> anon_tid{1000};  ///< tids for unidentified threads
 };
 

@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cmath>
 #include <exception>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -312,11 +311,11 @@ class RankSim {
         cfg.dt, cfg.mass, 1.0 / cfg.units.mvv2e);
 
     // --- step executor ------------------------------------------------
+    // Both executors run the same step DAG: barrier serially on this
+    // rank thread, async on a per-rank pool.
     sub_ = sub;
     rc_ = rc;
-    exec_async_ =
-        job.opt.executor == "async" && potential_->split_passes() > 0;
-    if (exec_async_) {
+    if (job.opt.executor == "async") {
       dag_pool_ = std::make_unique<pool::SpinThreadPool>(
           std::max(1, job.opt.executor_threads));
     }
@@ -375,25 +374,18 @@ class RankSim {
         }
       }
 
+      // The forward exchange rides the step DAG only where it can
+      // overlap force work: async non-rebuild steps. Rebuild steps placed
+      // their ghosts during borders(); barrier steps run the blocking
+      // forward up front, charged to Comm.
+      dag_forward_ = !do_rebuild && dag_pool_ != nullptr;
       if (do_rebuild) {
-        // Rebuild steps exchanged ghosts already; the force evaluation
-        // runs serially in canonical order under both executors.
         rebuild();
-        inject_ghosts(step_);
-        compute_forces();
-      } else if (exec_async_) {
-        // The step DAG issues the forward exchange itself and overlaps
-        // interior force tasks with the in-flight ghost data (ghost
-        // flips land via the DAG's task.inject node).
-        compute_forces_async();
-      } else {
-        {
-          util::ScopedStage s(timer_, Stage::kComm);
-          comm_->forward_positions();
-        }
-        inject_ghosts(step_);
-        compute_forces();
+      } else if (!dag_forward_) {
+        util::ScopedStage s(timer_, Stage::kComm);
+        comm_->forward_positions();
       }
+      compute_forces();
       inject_force(step_);  // planned force flips land here
 
       {
@@ -464,39 +456,25 @@ class RankSim {
       // neighbor epoch: atoms keep their group until the next rebuild
       // (the list is frozen, so interior rows cannot grow ghost
       // neighbors mid-epoch).
-      if (potential_->split_passes() > 0) {
-        groups_ = md::ForceGroups::build(atoms_, sub_, rc_);
-        if (exec_async_) build_step_graph();
-      }
+      groups_ = md::ForceGroups::build(atoms_, sub_, rc_);
+      build_step_graph();
     }
   }
 
+  /// The one force path: the epoch's step DAG, run serially in
+  /// canonical order (barrier: no pool) or on the DAG pool (async).
+  /// Charged to Pair, so EAM's mid-pair rho/fp exchanges and, on async
+  /// non-rebuild steps, the overlapped forward exchange count as hidden
+  /// pair time (the trace spans keep the full attribution; see
+  /// DESIGN.md section 12).
   void compute_forces() {
     {
-      // EAM's mid-pair rho/fp exchanges happen inside the pair stage and
-      // are therefore charged to Pair, matching the paper's accounting.
       util::ScopedStage s(timer_, Stage::kPair);
       atoms_.zero_forces();
-      if (potential_->split_passes() > 0) {
-        // Serial canonical split — the exact task sequence the async
-        // DAG runs, executed in its canonical order, which is what
-        // makes the two executors bitwise-identical.
-        potential_->split_begin(atoms_, list_, job_.opt.config.newton,
-                                &groups_);
-        for (int pass = 0; pass < potential_->split_passes(); ++pass) {
-          for (int g = 0; g < groups_.ngroups(); ++g) {
-            potential_->split_group(pass, g);
-          }
-          potential_->split_join(pass, comm_.get());
-        }
-        last_force_ = potential_->split_finish();
-      } else {
-        last_force_ = potential_->compute(atoms_, list_,
-                                          job_.opt.config.newton, comm_.get());
-      }
-      // Same data point as the async DAG's task.guard node, so both
-      // executors feed check_integrity an identical verdict.
-      if (job_.opt.integrity.enabled()) guard_prescan();
+      potential_->split_begin(atoms_, list_, job_.opt.config.newton,
+                              &groups_);
+      graph_.run(dag_pool_.get());
+      last_force_ = potential_->split_finish();
     }
     if (job_.opt.config.newton) {
       // Ghost-force return is a Comm-stage cost in LAMMPS accounting.
@@ -505,26 +483,8 @@ class RankSim {
     }
   }
 
-  /// Async non-rebuild step: the DAG carries the forward exchange, so
-  /// the whole thing is charged to Pair — overlapped communication is
-  /// hidden time by design (the trace spans keep the full attribution;
-  /// see DESIGN.md section 12).
-  void compute_forces_async() {
-    {
-      util::ScopedStage s(timer_, Stage::kPair);
-      atoms_.zero_forces();
-      potential_->split_begin(atoms_, list_, job_.opt.config.newton,
-                              &groups_);
-      graph_->run(dag_pool_.get());
-      last_force_ = potential_->split_finish();
-    }
-    if (job_.opt.config.newton) {
-      util::ScopedStage r(timer_, Stage::kComm);
-      comm_->reverse_forces();
-    }
-  }
-
-  /// Build this epoch's step DAG (async executor). Nodes:
+  /// Build this epoch's step DAG, reusing the graph's storage: after the
+  /// first few epochs a rebuild allocates nothing. Nodes:
   ///
   ///   task.fwd              forward_begin() — all sends on the wire
   ///   task.wait (xN)        forward_complete(ch), one per recv channel,
@@ -540,59 +500,70 @@ class RankSim {
   ///
   /// Eager comm variants expose no channels: every border group then
   /// gates directly on task.fwd, which ran the whole blocking exchange.
+  /// task.fwd and task.wait do nothing unless dag_forward_ is set; when
+  /// it is not, the ghosts landed before the run (blocking forward or
+  /// borders()) and the graph is pure force work.
   void build_step_graph() {
-    graph_ = std::make_unique<pool::TaskGraph>();
-    const int fwd = graph_->add("task.fwd", [this] { comm_->forward_begin(); });
+    graph_.clear();
+    const int fwd = graph_.add("task.fwd", [this] {
+      if (dag_forward_) comm_->forward_begin();
+    });
 
+    // Wait nodes take the ids first_wait + i, in channel order.
     const std::vector<int>& chans = comm_->forward_channels();
-    std::vector<int> waits;
-    waits.reserve(chans.size());
-    std::map<int, int> last_of_key;
-    for (const int ch : chans) {
-      const int w =
-          graph_->add("task.wait", [this, ch] { comm_->forward_complete(ch); });
-      graph_->depend(w, fwd);
+    const int nchans = static_cast<int>(chans.size());
+    const int first_wait = graph_.size();
+    for (int i = 0; i < nchans; ++i) {
+      const int ch = chans[static_cast<std::size_t>(i)];
+      const int w = graph_.add("task.wait", [this, ch] {
+        if (dag_forward_) comm_->forward_complete(ch);
+      });
+      graph_.depend(w, fwd);
+      // Chain behind the previous wait on the same key.
       const int key = comm_->forward_channel_key(ch);
-      const auto it = last_of_key.find(key);
-      if (it != last_of_key.end()) graph_->depend(w, it->second);
-      last_of_key[key] = w;
-      waits.push_back(w);
+      for (int j = i - 1; j >= 0; --j) {
+        if (comm_->forward_channel_key(chans[static_cast<std::size_t>(j)]) ==
+            key) {
+          graph_.depend(w, first_wait + j);
+          break;
+        }
+      }
     }
 
     // Silent-corruption hook: ghost flips must land after ALL forward
-    // traffic and before ANY ghost reader — the ordering the barrier
-    // executor gets by injecting after its blocking forward. The node
-    // (and its overlap cost) exists only when memory faults are planned.
+    // traffic and before ANY ghost reader. The node (and its overlap
+    // cost) exists only when memory faults are planned.
     int inject = -1;
     if (job_.mem && job_.mem->enabled()) {
-      inject = graph_->add("task.inject", [this] { inject_ghosts(step_); });
-      graph_->depend(inject, fwd);
-      for (const int w : waits) graph_->depend(inject, w);
+      inject = graph_.add("task.inject", [this] { inject_ghosts(step_); });
+      graph_.depend(inject, fwd);
+      for (int i = 0; i < nchans; ++i) graph_.depend(inject, first_wait + i);
     }
 
-    std::vector<int> pass0;
-    pass0.reserve(static_cast<std::size_t>(groups_.ngroups()));
-    for (int g = 0; g < groups_.ngroups(); ++g) {
+    // Pass-0 group nodes take the ids first_group + g.
+    const int ngroups = groups_.ngroups();
+    const int first_group = graph_.size();
+    for (int g = 0; g < ngroups; ++g) {
       const int mask = groups_.groups[static_cast<std::size_t>(g)].mask;
       const int node =
-          graph_->add(mask == 0 ? "task.interior" : "task.border",
-                      [this, g] { potential_->split_group(0, g); });
+          graph_.add(mask == 0 ? "task.interior" : "task.border",
+                     [this, g] { potential_->split_group(0, g); });
       if (mask != 0) {
         bool gated = false;
-        for (std::size_t i = 0; i < chans.size(); ++i) {
-          const util::Int3 d = comm::all_dirs()[static_cast<std::size_t>(chans[i])];
+        for (int i = 0; i < nchans; ++i) {
+          const util::Int3 d = comm::all_dirs()[static_cast<std::size_t>(
+              chans[static_cast<std::size_t>(i)])];
           if (md::group_reads_dir(mask, d.x, d.y, d.z)) {
-            graph_->depend(node, waits[i]);
+            graph_.depend(node, first_wait + i);
             gated = true;
           }
         }
         // No matching channel (eager comm, or a band whose ghost side
         // never receives under Newton half-shell): gate on the forward
         // node itself — conservative and always correct.
-        if (!gated) graph_->depend(node, fwd);
-        if (inject >= 0) graph_->depend(node, inject);
+        if (!gated) graph_.depend(node, fwd);
+        if (inject >= 0) graph_.depend(node, inject);
       }
-      pass0.push_back(node);
     }
 
     // Every wait feeds the join even when no group reads it: the notice
@@ -600,34 +571,33 @@ class RankSim {
     // start before this one's exchange fully landed.
     const int npasses = potential_->split_passes();
     const int join0 =
-        graph_->add(npasses == 2 ? "task.mid" : "task.reduce",
-                    [this] { potential_->split_join(0, comm_.get()); });
-    for (const int n : pass0) graph_->depend(join0, n);
-    for (const int w : waits) graph_->depend(join0, w);
-    if (inject >= 0) graph_->depend(join0, inject);
+        graph_.add(npasses == 2 ? "task.mid" : "task.reduce",
+                   [this] { potential_->split_join(0, comm_.get()); });
+    for (int g = 0; g < ngroups; ++g) graph_.depend(join0, first_group + g);
+    for (int i = 0; i < nchans; ++i) graph_.depend(join0, first_wait + i);
+    if (inject >= 0) graph_.depend(join0, inject);
 
     int final_join = join0;
     if (npasses == 2) {
-      std::vector<int> pass1;
-      pass1.reserve(static_cast<std::size_t>(groups_.ngroups()));
-      for (int g = 0; g < groups_.ngroups(); ++g) {
-        const int node = graph_->add(
+      const int first_force = graph_.size();
+      for (int g = 0; g < ngroups; ++g) {
+        const int node = graph_.add(
             "task.force", [this, g] { potential_->split_group(1, g); });
-        graph_->depend(node, join0);
-        pass1.push_back(node);
+        graph_.depend(node, join0);
       }
-      const int join1 = graph_->add(
+      final_join = graph_.add(
           "task.reduce", [this] { potential_->split_join(1, comm_.get()); });
-      for (const int n : pass1) graph_->depend(join1, n);
-      final_join = join1;
+      for (int g = 0; g < ngroups; ++g) {
+        graph_.depend(final_join, first_force + g);
+      }
     }
 
     // The guard rides the DAG as its canonical terminal join: the
     // nonfinite-force prescan runs right where the reduced forces are
     // born, and check_integrity consumes its flag after the step.
     if (job_.opt.integrity.enabled()) {
-      const int guard = graph_->add("task.guard", [this] { guard_prescan(); });
-      graph_->depend(guard, final_join);
+      const int guard = graph_.add("task.guard", [this] { guard_prescan(); });
+      graph_.depend(guard, final_join);
     }
   }
 
@@ -716,11 +686,12 @@ class RankSim {
   }
 
   /// Flips into the landed ghost block of the position array: received
-  /// data corrupted *after* the wire CRC passed. Runs once all forward
-  /// traffic for the step has landed (after borders / forward; in the
-  /// async executor via the DAG's task.inject node gated on every wait).
+  /// data corrupted *after* the wire CRC passed. Runs as the DAG's
+  /// task.inject node, gated on every forward wait, so all forward
+  /// traffic for the step has landed. The startup evaluation (step 0)
+  /// is not a step: no flips land there, as for the other slabs.
   void inject_ghosts(int step) {
-    if (!job_.mem || atoms_.nghost() == 0) return;
+    if (!job_.mem || step == 0 || atoms_.nghost() == 0) return;
     job_.mem->apply(rank_, step, tofu::MemTarget::kGhostPos,
                     atoms_.x() + 3 * atoms_.nlocal(),
                     static_cast<std::size_t>(3 * atoms_.nghost()));
@@ -746,9 +717,9 @@ class RankSim {
   }
 
   /// Canonical-join guard hook: a cheap nonfinite scan over the reduced
-  /// forces, run as the DAG's terminal task.guard node (async) or inline
-  /// after the canonical split loop (barrier) — the same data point in
-  /// both executors, so the verdicts they feed check_integrity match.
+  /// forces, run as the DAG's terminal task.guard node — the same data
+  /// point in both executors, so the verdicts they feed check_integrity
+  /// match.
   void guard_prescan() {
     if (!guard_step(step_)) return;
     const double* f = atoms_.f();
@@ -858,9 +829,9 @@ class RankSim {
   // --- step executor state --------------------------------------------
   geom::Box sub_;
   double rc_ = 0.0;
-  bool exec_async_ = false;
   md::ForceGroups groups_;                     ///< rebuilt per epoch
-  std::unique_ptr<pool::TaskGraph> graph_;     ///< rebuilt per epoch
+  pool::TaskGraph graph_;                      ///< rebuilt per epoch
+  bool dag_forward_ = false;  ///< this step's forward runs inside graph_
   std::unique_ptr<pool::SpinThreadPool> dag_pool_;  ///< async only
 };
 

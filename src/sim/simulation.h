@@ -44,12 +44,13 @@ struct SimOptions {
   tofu::FaultPlan faults{};
 
   // --- step executor ---------------------------------------------------
-  /// `barrier` runs the classic verlet sequence (forward exchange, then
-  /// the pair stage); `async` runs each step as a task DAG that overlaps
-  /// interior force work with the in-flight ghost exchange. Both use the
-  /// same partitioned force evaluation with a canonical reduction order,
-  /// so their trajectories are bitwise-identical. Unknown names make
-  /// run_simulation throw.
+  /// Both executors evaluate forces by running the same per-epoch step
+  /// DAG. `barrier` runs it serially in canonical order after a blocking
+  /// forward exchange (the classic verlet sequence); `async` runs it on
+  /// a per-rank pool with the forward exchange inside it, so interior
+  /// force work overlaps the in-flight ghost data. Same nodes, same
+  /// fixed-order reductions: the trajectories are bitwise-identical by
+  /// construction. Unknown names make run_simulation throw.
   std::string executor = "barrier";
   /// Worker count of the per-rank DAG pool (async executor only).
   int executor_threads = 2;

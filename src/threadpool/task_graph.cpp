@@ -9,9 +9,21 @@
 namespace lmp::pool {
 
 int TaskGraph::add(const char* name, std::function<void()> fn) {
-  nodes_.push_back(std::make_unique<Node>(name, std::move(fn)));
+  if (size_ == static_cast<int>(nodes_.size())) {
+    nodes_.push_back(std::make_unique<Node>());
+  }
+  Node& node = *nodes_[static_cast<std::size_t>(size_)];
+  node.name = name;
+  node.fn = std::move(fn);
+  node.successors.clear();
+  node.indegree0 = 0;
   validated_ = false;
-  return static_cast<int>(nodes_.size()) - 1;
+  return size_++;
+}
+
+void TaskGraph::clear() {
+  size_ = 0;
+  validated_ = false;
 }
 
 void TaskGraph::depend(int node, int prereq) {
@@ -88,22 +100,26 @@ void TaskGraph::worker_drain() {
 void TaskGraph::validate() {
   // Kahn's algorithm over the static indegrees: a cycle would make the
   // live run spin forever, so refuse it up front. Runs once per graph
-  // mutation, not per step.
+  // mutation, not per step. It counts down in the live indegrees and
+  // stacks in ready_, which run() resets afterwards, so a rebuild of a
+  // known shape allocates nothing here either.
   const int n = size();
-  std::vector<int> indeg(static_cast<std::size_t>(n));
-  std::vector<int> stack;
+  ready_.clear();
   for (int i = 0; i < n; ++i) {
-    indeg[static_cast<std::size_t>(i)] =
-        nodes_[static_cast<std::size_t>(i)]->indegree0;
-    if (indeg[static_cast<std::size_t>(i)] == 0) stack.push_back(i);
+    Node& node = *nodes_[static_cast<std::size_t>(i)];
+    node.indegree.store(node.indegree0, std::memory_order_relaxed);
+    if (node.indegree0 == 0) ready_.push_back(i);
   }
   int visited = 0;
-  while (!stack.empty()) {
-    const int id = stack.back();
-    stack.pop_back();
+  while (!ready_.empty()) {
+    const int id = ready_.back();
+    ready_.pop_back();
     ++visited;
     for (const int s : nodes_[static_cast<std::size_t>(id)]->successors) {
-      if (--indeg[static_cast<std::size_t>(s)] == 0) stack.push_back(s);
+      if (nodes_[static_cast<std::size_t>(s)]->indegree.fetch_sub(
+              1, std::memory_order_relaxed) == 1) {
+        ready_.push_back(s);
+      }
     }
   }
   if (visited != n) {

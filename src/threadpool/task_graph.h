@@ -14,11 +14,14 @@ namespace lmp::pool {
 
 class SpinThreadPool;
 
-/// Small deterministic DAG scheduler for the asynchronous step runtime
-/// (DESIGN.md §12). Nodes are added once per neighbor-rebuild epoch and
-/// the same graph is executed every step: `run()` resets the atomic
-/// indegrees from the recorded edges and dispatches ready nodes onto the
-/// SpinThreadPool workers (or runs them inline when no pool is given).
+/// Small deterministic DAG scheduler for the step pipeline (DESIGN.md
+/// §12). Both step executors run one graph per neighbor epoch: barrier
+/// as `run(nullptr)` on the rank thread, async on a SpinThreadPool.
+/// `run()` resets the atomic indegrees from the recorded edges and
+/// dispatches ready nodes onto the pool workers (or runs them inline
+/// when no pool is given), so a graph is built once and run every step.
+/// `clear()` keeps the node storage, so rebuilding a graph of a shape
+/// seen before allocates nothing.
 ///
 /// Determinism contract: the graph does NOT promise a deterministic
 /// execution interleaving under multiple workers — it promises that any
@@ -27,8 +30,8 @@ class SpinThreadPool;
 /// the step therefore comes from the node bodies (private per-task
 /// buffers + a fixed-order reduction node), not from scheduling. A
 /// serial run (`run(nullptr)`) executes the unique smallest-id-first
-/// topological order, which is exactly the canonical order the barrier
-/// executor uses.
+/// topological order — the barrier executor IS that run, so it and the
+/// async executor execute the same nodes and differ only in timing.
 ///
 /// Exceptions: the first node body that throws wins; the remaining
 /// nodes are cancelled (skipped, but still counted down so the run
@@ -46,7 +49,10 @@ class TaskGraph {
   /// Both ids must come from add(); edges must be added before run().
   void depend(int node, int prereq);
 
-  int size() const { return static_cast<int>(nodes_.size()); }
+  int size() const { return size_; }
+
+  /// Drop every node and edge, keeping their storage for the next build.
+  void clear();
 
   /// Execute the graph once. `pool` may be null (serial canonical
   /// order). With a pool, all of its workers drain the shared ready
@@ -64,15 +70,15 @@ class TaskGraph {
     std::vector<int> successors;
     int indegree0 = 0;               ///< static indegree from depend()
     std::atomic<int> indegree{0};    ///< live countdown during a run
-    Node(const char* n, std::function<void()> f)
-        : name(n), fn(std::move(f)) {}
   };
 
   void worker_drain();
   void finish_node(int id);
   void validate();
 
+  /// The first size_ entries are live; the rest are kept for reuse.
   std::vector<std::unique_ptr<Node>> nodes_;
+  int size_ = 0;
   /// Ready min-queue + completion order, one lock for both (nodes are
   /// few and coarse; contention is not on this path's critical budget).
   std::mutex mu_;

@@ -29,7 +29,6 @@ Atoms cluster(std::initializer_list<Vec3> pos) {
 TEST(Eam, CutoffAccessor) {
   Eam eam = make_eam();
   EXPECT_DOUBLE_EQ(eam.cutoff(), 4.95);
-  EXPECT_TRUE(eam.needs_mid_comm());
 }
 
 TEST(Eam, TabulatedFunctionsSane) {

@@ -2,9 +2,11 @@
 
 #include <bit>
 #include <cstdint>
+#include <cstring>
 #include <string>
 
 #include "md/config.h"
+#include "obs/tracer.h"
 #include "sim/simulation.h"
 
 namespace lmp::sim {
@@ -94,6 +96,60 @@ TEST(Executor, AsyncMatchesBarrierBitwiseEamP2p) {
   o.executor_threads = 3;
   const JobResult async = run_simulation(o, 20);
   expect_bitwise_equal(barrier, async);
+}
+
+TEST(Executor, AsyncMatchesBarrierBitwiseEamEveryStepRebuild) {
+  // Every step rebuilds, so the forward never rides the DAG: each async
+  // step runs the graph on the pool over ghosts borders() placed.
+  SimOptions o = eam_case("6tni_p2p");
+  o.config.neigh.every = 1;
+  o.config.neigh.check = false;
+  const JobResult barrier = run_simulation(o, 12);
+  o.executor = "async";
+  o.executor_threads = 3;
+  const JobResult async = run_simulation(o, 12);
+  expect_bitwise_equal(barrier, async);
+}
+
+TEST(Executor, BarrierRunsStepGraphOnRankThreads) {
+  // The barrier executor is a serial run of the step DAG: its force
+  // nodes are traced, and only on the rank threads (tid 0), never on a
+  // pool worker.
+  if (!obs::trace_compiled_in()) GTEST_SKIP() << "built with LMP_TRACE=OFF";
+  obs::Tracer::instance().reset();
+  obs::set_trace_categories(static_cast<std::uint32_t>(obs::TraceCat::kPool));
+  struct CatsOff {
+    ~CatsOff() {
+      obs::set_trace_categories(0);
+      obs::Tracer::instance().reset();
+    }
+  } guard;
+
+  // Sub-boxes wider than two neighbor cutoffs, so an interior group exists.
+  SimOptions o = lj_case("6tni_p2p");
+  o.cells = {8, 6, 6};
+  o.rank_grid = {2, 1, 1};
+  constexpr int kSteps = 6;
+  run_simulation(o, kSteps);
+
+  int interior = 0;
+  int reduce = 0;
+  for (const obs::CollectedEvent& e :
+       obs::Tracer::instance().snapshot_events()) {
+    if (e.event.kind != obs::TraceEvent::kSpan) continue;
+    if (std::strcmp(e.event.name, "task.interior") == 0) {
+      ++interior;
+    } else if (std::strcmp(e.event.name, "task.reduce") == 0) {
+      ++reduce;
+    } else {
+      continue;
+    }
+    EXPECT_EQ(e.tid, 0) << e.event.name << " ran off the rank thread";
+    EXPECT_GE(e.pid, 0) << e.event.name << " ran on an unidentified thread";
+  }
+  // One graph run per rank for the startup evaluation and every step.
+  EXPECT_EQ(reduce, 2 * (kSteps + 1));
+  EXPECT_EQ(interior, 2 * (kSteps + 1));
 }
 
 TEST(Executor, AsyncNewtonOffUsesRingForward) {

@@ -35,7 +35,7 @@ class TracerSandbox {
   ~TracerSandbox() {
     set_trace_categories(0);
     set_metrics_enabled(false);
-    Tracer::instance().set_buffer_capacity(16384);
+    Tracer::instance().set_buffer_capacity(32768);  // the default
     Tracer::instance().reset();
   }
 };

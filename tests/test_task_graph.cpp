@@ -177,5 +177,30 @@ TEST(TaskGraph, ReusableAcrossEpochs) {
   EXPECT_EQ(counter, 200);
 }
 
+TEST(TaskGraph, ClearedGraphRebuildsToNewShape) {
+  // The simulation clears and rebuilds its graph every neighbor epoch;
+  // the reused node storage must not leak old edges into the new shape.
+  TaskGraph g;
+  const int a = g.add("t.a", [] {});
+  const int b = g.add("t.b", [] {});
+  const int c = g.add("t.c", [] {});
+  g.depend(a, c);
+  g.depend(b, c);
+  g.run(nullptr);
+  EXPECT_EQ(g.completion_order(), (std::vector<int>{c, a, b}));
+
+  g.clear();
+  EXPECT_EQ(g.size(), 0);
+  int calls = 0;
+  const int x = g.add("t.x", [&] { calls++; });
+  const int y = g.add("t.y", [&] { calls++; });
+  g.depend(x, y);
+  SpinThreadPool pool(2);
+  g.run(&pool);
+  EXPECT_EQ(calls, 2);
+  EXPECT_EQ(g.completion_order(), (std::vector<int>{y, x}));
+  EXPECT_THROW(g.depend(x, 2), std::out_of_range);  // a cleared id
+}
+
 }  // namespace
 }  // namespace lmp::pool
