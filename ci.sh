@@ -525,7 +525,32 @@ run_bench_compare_smoke() {
       || { echo "bench_compare: missing baseline must exit 0"; return 1; }
 }
 
+# Layering guard: src/util is the leaf layer. No file under it may
+# include a header from another src/ module, and lmp_util may link no
+# other lmp_* library — that is what keeps the old util<->obs link cycle
+# from coming back.
+run_layering_guard() {
+  echo "--- layering guard (src/util is a leaf) ---"
+  local mods bad
+  mods=$(ls -d src/*/ | xargs -n1 basename | grep -vx util | paste -sd'|')
+  bad=$(grep -nE "#include \"(${mods})/" src/util/* || true)
+  if [[ -n "${bad}" ]]; then
+    echo "layering: src/util includes another src/ module:"
+    echo "${bad}"
+    return 1
+  fi
+  local links
+  links=$(tr '\n' ' ' < src/util/CMakeLists.txt \
+      | grep -oE 'target_link_libraries\([^)]*\)' \
+      | grep -oE 'lmp_[A-Za-z_]+' | grep -vx lmp_util || true)
+  if [[ -n "${links}" ]]; then
+    echo "layering: lmp_util links other lmp_* targets: ${links}"
+    return 1
+  fi
+}
+
 echo "=== pass 1: -Werror build + ctest ==="
+run_layering_guard
 cmake -B build-ci -S . -DLMP_WERROR=ON
 cmake --build build-ci -j "${JOBS}"
 ctest --test-dir build-ci --output-on-failure -j "${JOBS}"

@@ -41,13 +41,14 @@
 #include <vector>
 
 #include "comm/comm_factory.h"
+#include "obs/alloc_tracker.h"
 #include "obs/critical_path.h"
+#include "obs/metrics.h"
 #include "obs/report.h"
 #include "obs/tracer.h"
 #include "sim/input_script.h"
 #include "tofu/link_telemetry.h"
 #include "tofu/topology.h"
-#include "util/stats.h"
 #include "util/table_printer.h"
 
 using namespace lmp;
@@ -320,9 +321,9 @@ int main(int argc, char** argv) {
   t.print();
 
   if (!r.health.clean() || r.health.checkpoints_written > 0) {
-    std::printf("\n%s", util::format_health_table(r.health).c_str());
+    std::printf("\n%s", sim::format_health_table(r.health).c_str());
   }
-  const std::string latency = util::format_latency_table();
+  const std::string latency = obs::format_latency_table();
   if (!latency.empty()) std::printf("\n%s", latency.c_str());
 
   // Post-run analyses. The critical-path breakdown needs the tracer's
@@ -338,7 +339,7 @@ int main(int argc, char** argv) {
     const std::string fabric = tofu::format_fabric_table(
         tofu::Topology::for_nodes(std::max(1, nranks)), r.fabric);
     if (!fabric.empty()) std::printf("\n%s", fabric.c_str());
-    const std::string metrics = util::format_metrics_table();
+    const std::string metrics = obs::format_metrics_table();
     if (!metrics.empty()) std::printf("\n%s", metrics.c_str());
   }
 
@@ -392,7 +393,7 @@ int main(int argc, char** argv) {
   // the zero-alloc arc debugs from. Exit 3 distinguishes "the physics
   // ran fine but the step loop allocated" from hard errors (exit 1).
   if (o.alloc_guard) {
-    const std::string guard = util::format_alloc_guard_table(r.alloc_guard);
+    const std::string guard = obs::format_alloc_guard_table(r.alloc_guard);
     if (!guard.empty()) std::printf("\n%s", guard.c_str());
     if (!r.alloc_guard.passed()) return 3;
   }

@@ -27,7 +27,6 @@
 
 #include "serve/job_server.h"
 #include "serve/stream_endpoint.h"
-#include "util/stats.h"
 
 namespace {
 
@@ -292,7 +291,7 @@ int main(int argc, char** argv) {
   // One forced sampling pass so the final table reflects the present
   // (terminal SLO outcomes land between sampler ticks otherwise).
   if (server.telemetry() != nullptr) server.telemetry()->tick();
-  std::fputs(util::format_server_table(server.stats()).c_str(), stdout);
+  std::fputs(serve::format_server_table(server.stats()).c_str(), stdout);
 
   // Give dashboards a window to attach (or finish streaming) before the
   // server and its telemetry socket go away.

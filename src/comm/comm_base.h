@@ -3,11 +3,11 @@
 #include <cstdint>
 #include <vector>
 
+#include "comm/health_monitor.h"
 #include "geom/box.h"
 #include "geom/decomposition.h"
 #include "md/atoms.h"
 #include "md/potential.h"
-#include "util/stats.h"
 
 namespace lmp::comm {
 
@@ -104,7 +104,7 @@ class Comm : public md::GhostDataComm {
   /// Reliability/degradation summary for this rank's comm. The default
   /// (all-zero) report is right for implementations without a reliability
   /// layer (reference MPI, plain uTofu brick).
-  virtual util::CommHealthReport health() const { return {}; }
+  virtual CommHealthReport health() const { return {}; }
 
  protected:
   CommContext ctx_;

@@ -294,8 +294,8 @@ Edata CommP2p::wait_piggyback(MsgKind kind, int dir) {
   }
 }
 
-util::CommHealthReport CommP2p::health() const {
-  util::CommHealthReport h;
+CommHealthReport CommP2p::health() const {
+  CommHealthReport h;
   h.nacks_sent = nacks_sent_.load(std::memory_order_relaxed);
   h.retransmits_served = retransmits_served_.load(std::memory_order_relaxed);
   h.crc_rejects = crc_rejects_.load(std::memory_order_relaxed);

@@ -111,7 +111,7 @@ class CommP2p final : public Comm {
   void forward(double* per_atom) override;
   void reverse_add(double* per_atom) override;
 
-  util::CommHealthReport health() const override;
+  CommHealthReport health() const override;
 
   const std::vector<int>& send_dirs() const { return plan_.send_channels(); }
   const std::vector<int>& recv_dirs() const { return plan_.recv_channels(); }

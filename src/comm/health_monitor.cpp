@@ -6,7 +6,7 @@
 namespace lmp::comm {
 
 EscalationDecision HealthMonitor::assess(
-    const util::CommHealthReport& h) const {
+    const CommHealthReport& h) const {
   EscalationDecision d;
   std::ostringstream os;
   const auto trip = [&](const char* name, std::uint64_t value,
@@ -30,7 +30,7 @@ EscalationDecision HealthMonitor::assess(
   return d;
 }
 
-std::string describe_counters(const util::CommHealthReport& h) {
+std::string describe_counters(const CommHealthReport& h) {
   std::ostringstream os;
   os << "nacks=" << h.nacks_sent << " retransmits=" << h.retransmits_served
      << " crc_rejects=" << h.crc_rejects

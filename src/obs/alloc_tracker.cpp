@@ -18,6 +18,7 @@
 #include <new>
 
 #include "obs/tracer.h"
+#include "util/table_printer.h"
 
 #if defined(LMP_ALLOC_TRACE_ENABLED)
 #include <malloc.h>
@@ -225,6 +226,34 @@ AllocGuardReport AllocGuard::report() const {
     if (d.allocs != 0 || d.frees != 0) r.rows.push_back(d);
   }
   return r;
+}
+
+std::string format_alloc_guard_table(const AllocGuardReport& r) {
+  std::string out;
+  if (!r.enabled) return out;
+  if (!r.tracker_available) {
+    return "alloc guard: tracker not compiled in (build with "
+           "-DLMP_ALLOC_TRACE=ON) — nothing checked\n";
+  }
+  out += "alloc guard: warmup " + std::to_string(r.warmup_steps) +
+         " steps, checked " + std::to_string(r.steps_checked) + " steps: " +
+         (r.passed()
+              ? "PASS — zero steady-state allocations\n"
+              : "FAIL — " + std::to_string(r.steps_with_allocs) +
+                    " steps allocated (first at step " +
+                    std::to_string(r.first_alloc_step) + "; " +
+                    std::to_string(r.post_warmup_allocs) + " allocs, " +
+                    std::to_string(r.post_warmup_bytes) +
+                    " bytes past warmup)\n");
+  if (!r.rows.empty()) {
+    util::TablePrinter t({"post-warmup scope", "allocs", "frees", "bytes"});
+    for (const AllocSlotStats& s : r.rows) {
+      t.add_row({s.name, std::to_string(s.allocs), std::to_string(s.frees),
+                 std::to_string(s.bytes)});
+    }
+    out += t.to_string();
+  }
+  return out;
 }
 
 }  // namespace lmp::obs

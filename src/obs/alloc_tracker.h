@@ -232,4 +232,10 @@ class AllocGuard {
   std::size_t baseline_n_ = 0;
 };
 
+/// Render an alloc-guard verdict: one summary line (PASS / FAIL with
+/// the post-warmup totals) plus the per-scope attribution table of the
+/// post-warmup window when anything allocated. Empty string when the
+/// guard never ran.
+std::string format_alloc_guard_table(const AllocGuardReport& r);
+
 }  // namespace lmp::obs

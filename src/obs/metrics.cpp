@@ -5,6 +5,10 @@
 #include <mutex>
 #include <stdexcept>
 
+#include "obs/alloc_tracker.h"
+#include "util/durable_file.h"
+#include "util/table_printer.h"
+
 namespace lmp::obs {
 
 Histogram::Summary Histogram::summary() const {
@@ -73,6 +77,15 @@ RegistryState& state() {
   throw std::logic_error("metric '" + name +
                          "' already registered as a different kind");
 }
+
+/// Mirror of the durable-file helpers' fsync count, installed before
+/// main so no fsync goes uncounted.
+void count_fsync() {
+  static Counter& c = MetricsRegistry::instance().counter("io.fsyncs");
+  c.add(1);
+}
+[[maybe_unused]] const bool kFsyncMirror =
+    (util::set_fsync_observer(&count_fsync), true);
 
 }  // namespace
 
@@ -156,6 +169,84 @@ MetricsRegistry::histograms() const {
   std::vector<std::pair<std::string, Histogram::Summary>> out;
   for (const auto& [name, slot] : s.slots) {
     if (slot.histogram) out.emplace_back(name, slot.histogram->summary());
+  }
+  return out;
+}
+
+std::string format_latency_table() {
+  const auto hists = MetricsRegistry::instance().histograms();
+  bool any = false;
+  for (const auto& [name, s] : hists) any = any || s.count > 0;
+  std::string out;
+  if (any) {
+    // Full Summary exposure: count and min/max alongside the percentiles,
+    // so the curated view no longer hides the extremes behind raw JSON.
+    util::TablePrinter t({"latency (us)", "count", "mean", "p50", "p95",
+                          "p99", "min", "max"});
+    const auto us = [](double ns) {
+      return util::TablePrinter::fmt(ns / 1000.0, 3);
+    };
+    for (const auto& [name, s] : hists) {
+      if (s.count == 0) continue;
+      t.add_row({name, std::to_string(s.count), us(s.mean), us(s.p50),
+                 us(s.p95), us(s.p99), us(static_cast<double>(s.min)),
+                 us(static_cast<double>(s.max))});
+    }
+    out = t.to_string();
+  }
+  // Heap traffic per attribution scope (alloc tracker): the same stage /
+  // wait / slice labels as the spans above, plus whatever ran outside
+  // any scope. Absent entirely when LMP_ALLOC_TRACE is compiled out.
+  const auto scopes = AllocTracker::instance().by_scope();
+  if (!scopes.empty()) {
+    const AllocTotals tot = AllocTracker::instance().totals();
+    util::TablePrinter a(
+        {"alloc scope", "allocs", "frees", "bytes", "freed bytes"});
+    for (const AllocSlotStats& s : scopes) {
+      a.add_row({s.name, std::to_string(s.allocs), std::to_string(s.frees),
+                 std::to_string(s.bytes), std::to_string(s.freed_bytes)});
+    }
+    a.add_row({"(total)", std::to_string(tot.allocs), std::to_string(tot.frees),
+               std::to_string(tot.bytes), std::to_string(tot.freed_bytes)});
+    out += a.to_string();
+  }
+  return out;
+}
+
+std::string format_metrics_table() {
+  const auto counters = MetricsRegistry::instance().counters();
+  const auto gauges = MetricsRegistry::instance().gauges();
+  const auto hists = MetricsRegistry::instance().histograms();
+  std::string out;
+  bool any_counter = false;
+  for (const auto& [name, v] : counters) any_counter = any_counter || v > 0;
+  if (any_counter) {
+    util::TablePrinter t({"counter", "value"});
+    for (const auto& [name, v] : counters) t.add_row({name, std::to_string(v)});
+    out += t.to_string();
+  }
+  bool any_gauge = false;
+  for (const auto& [name, g] : gauges) any_gauge = any_gauge || g != 0;
+  if (any_gauge) {
+    util::TablePrinter t({"gauge", "value"});
+    for (const auto& [name, v] : gauges) t.add_row({name, std::to_string(v)});
+    out += t.to_string();
+  }
+  bool any_hist = false;
+  for (const auto& [name, s] : hists) any_hist = any_hist || s.count > 0;
+  if (any_hist) {
+    // Raw units (ns for latencies, entries for depths) — the curated
+    // microsecond view is format_latency_table.
+    util::TablePrinter t({"histogram", "count", "mean", "p50", "p95", "p99",
+                          "min", "max"});
+    const auto raw = [](double v) { return util::TablePrinter::fmt(v, 1); };
+    for (const auto& [name, s] : hists) {
+      if (s.count == 0) continue;
+      t.add_row({name, std::to_string(s.count), raw(s.mean), raw(s.p50),
+                 raw(s.p95), raw(s.p99), std::to_string(s.min),
+                 std::to_string(s.max)});
+    }
+    out += t.to_string();
   }
   return out;
 }

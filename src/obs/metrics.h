@@ -128,4 +128,19 @@ class MetricsRegistry {
   MetricsRegistry() = default;
 };
 
+/// Render the latency histograms the metrics registry collected this run
+/// (put latency per TNI, notice waits, pool dispatch/run, ...) as a
+/// table in microseconds, three decimals — followed, when the alloc
+/// tracker saw traffic, by the per-scope allocation table (allocs /
+/// frees / bytes per attribution scope). Empty string when no histogram
+/// recorded anything and no allocation was tracked.
+std::string format_latency_table();
+
+/// Render the FULL metrics registry — every counter, gauge (value and
+/// high-water mark), and histogram in its raw units — as plain-text
+/// tables. The `--metrics` / script `metrics` dump; format_latency_table
+/// remains the curated microsecond subset. Empty string when nothing was
+/// recorded.
+std::string format_metrics_table();
+
 }  // namespace lmp::obs

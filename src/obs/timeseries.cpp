@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "util/stats.h"
+
 namespace lmp::obs {
 
 TimeSeries::TimeSeries(std::size_t capacity)
@@ -78,17 +80,9 @@ WindowAggregate aggregate_samples(const std::vector<Sample>& samples,
   // the interpolated order statistics directly (unlike the power-of-two
   // approximation the lock-free Histogram trades for).
   std::sort(values.begin(), values.end());
-  const auto pct = [&values](double p) {
-    const double rank =
-        (p / 100.0) * static_cast<double>(values.size() - 1);
-    const auto lo = static_cast<std::size_t>(rank);
-    const auto hi = std::min(lo + 1, values.size() - 1);
-    const double frac = rank - static_cast<double>(lo);
-    return values[lo] * (1.0 - frac) + values[hi] * frac;
-  };
-  a.p50 = pct(50.0);
-  a.p95 = pct(95.0);
-  a.p99 = pct(99.0);
+  a.p50 = util::percentile_sorted(values, 50.0);
+  a.p95 = util::percentile_sorted(values, 95.0);
+  a.p99 = util::percentile_sorted(values, 99.0);
   return a;
 }
 

@@ -381,9 +381,9 @@ CancelReply JobServer::cancel(std::uint64_t job_id) {
   return reply;
 }
 
-util::ServeStats JobServer::stats() const {
+ServeStats JobServer::stats() const {
   std::lock_guard<std::mutex> lk(mu_);
-  util::ServeStats s = stats_;
+  ServeStats s = stats_;
   s.queue_depth = queue_depth_locked();
   s.queue_depth_peak = std::max(s.queue_depth_peak, s.queue_depth);
   int running = 0;
@@ -662,7 +662,7 @@ void JobServer::run_one(std::uint64_t id) {
       }
       // Integrity bookkeeping: detections/rollbacks ride the journal
       // (durable per-job history), checks/flips feed stats and reports.
-      const util::CommHealthReport& sh = result.health;
+      const sim::JobHealth& sh = result.health;
       job.j.integrity_detections += sh.integrity_detections;
       job.j.integrity_rollbacks += sh.integrity_rollbacks;
       job.integrity_checks += sh.integrity_checks;

@@ -17,7 +17,6 @@
 #include "serve/serve_protocol.h"
 #include "serve/telemetry.h"
 #include "tofu/fault.h"
-#include "util/stats.h"
 
 namespace lmp::serve {
 
@@ -136,7 +135,7 @@ class JobServer {
   std::optional<JobStatus> status(std::uint64_t job_id) const;
   ChunksReply fetch(const FetchRequest& req) const;
   CancelReply cancel(std::uint64_t job_id);
-  util::ServeStats stats() const;
+  ServeStats stats() const;
 
   /// All journaled jobs' current status, in id order (for end-of-run
   /// summaries and the chaos test's invariant checks).
@@ -231,7 +230,7 @@ class JobServer {
   std::map<std::uint64_t, Job> jobs_;
   std::map<std::string, std::uint64_t> by_key_;  ///< tenant + '\0' + name -> id
   std::map<std::string, int> tenant_running_;
-  util::ServeStats stats_;
+  ServeStats stats_;
   bool started_ = false;
   bool accepting_ = false;
   bool stop_requested_ = false;

@@ -2,10 +2,47 @@
 
 #include <algorithm>
 #include <cstring>
+#include <type_traits>
+
+#include "util/table_printer.h"
 
 namespace lmp::serve {
 
 namespace {
+
+/// Call `f(name, field)` for every ServeStats field, in declaration
+/// order: the one list the `stats` wire codec and format_server_table
+/// both walk, so neither can drop a field. `S` is ServeStats or const
+/// ServeStats.
+template <class S, class F>
+void for_each_field(S& s, F&& f) {
+  f("submitted", s.submitted);
+  f("admitted", s.admitted);
+  f("rejected_queue_full", s.rejected_queue_full);
+  f("rejected_quota", s.rejected_quota);
+  f("rejected_bad_script", s.rejected_bad_script);
+  f("rejected_shutdown", s.rejected_shutdown);
+  f("duplicate_submits", s.duplicate_submits);
+  f("retries", s.retries);
+  f("deadline_missed", s.deadline_missed);
+  f("completed", s.completed);
+  f("failed", s.failed);
+  f("cancelled", s.cancelled);
+  f("recovered", s.recovered);
+  f("journal_torn_bytes", s.journal_torn_bytes);
+  f("integrity_checks", s.integrity_checks);
+  f("integrity_detections", s.integrity_detections);
+  f("integrity_rollbacks", s.integrity_rollbacks);
+  f("mem_flips_injected", s.mem_flips_injected);
+  f("queue_depth", s.queue_depth);
+  f("queue_depth_peak", s.queue_depth_peak);
+  f("running", s.running);
+  f("slo_breaches", s.slo_breaches);
+  f("heap_live_bytes", s.heap_live_bytes);
+  f("heap_high_water_bytes", s.heap_high_water_bytes);
+  f("rss_bytes", s.rss_bytes);
+  f("total_allocs", s.total_allocs);
+}
 
 // One helper per direction so every encoder stays a flat field list and
 // the frame append (type + CRC) lives in one place.
@@ -206,50 +243,28 @@ void encode_stats(std::vector<char>& out) {
   finish(out, MsgType::kStats, w);
 }
 
-void encode_stats_reply(std::vector<char>& out, const util::ServeStats& m) {
+void encode_stats_reply(std::vector<char>& out, const ServeStats& m) {
   WireWriter w;
-  w.u64(m.submitted);
-  w.u64(m.admitted);
-  w.u64(m.rejected_queue_full);
-  w.u64(m.rejected_quota);
-  w.u64(m.rejected_bad_script);
-  w.u64(m.rejected_shutdown);
-  w.u64(m.duplicate_submits);
-  w.u64(m.retries);
-  w.u64(m.deadline_missed);
-  w.u64(m.completed);
-  w.u64(m.failed);
-  w.u64(m.cancelled);
-  w.u64(m.recovered);
-  w.u64(m.journal_torn_bytes);
-  w.i64(m.queue_depth);
-  w.i64(m.queue_depth_peak);
-  w.i64(m.running);
-  w.u64(m.slo_breaches);
+  for_each_field(m, [&w](const char*, auto v) {
+    if constexpr (std::is_signed_v<decltype(v)>) {
+      w.i64(v);
+    } else {
+      w.u64(v);
+    }
+  });
   finish(out, MsgType::kStatsReply, w);
 }
 
-util::ServeStats decode_stats_reply(const char* payload, std::size_t len) {
+ServeStats decode_stats_reply(const char* payload, std::size_t len) {
   WireReader r(payload, len, "stats reply");
-  util::ServeStats m;
-  m.submitted = r.u64();
-  m.admitted = r.u64();
-  m.rejected_queue_full = r.u64();
-  m.rejected_quota = r.u64();
-  m.rejected_bad_script = r.u64();
-  m.rejected_shutdown = r.u64();
-  m.duplicate_submits = r.u64();
-  m.retries = r.u64();
-  m.deadline_missed = r.u64();
-  m.completed = r.u64();
-  m.failed = r.u64();
-  m.cancelled = r.u64();
-  m.recovered = r.u64();
-  m.journal_torn_bytes = r.u64();
-  m.queue_depth = r.i64();
-  m.queue_depth_peak = r.i64();
-  m.running = r.i64();
-  m.slo_breaches = r.u64();
+  ServeStats m;
+  for_each_field(m, [&r](const char*, auto& v) {
+    if constexpr (std::is_signed_v<std::remove_reference_t<decltype(v)>>) {
+      v = r.i64();
+    } else {
+      v = r.u64();
+    }
+  });
   r.expect_done();
   return m;
 }
@@ -300,6 +315,14 @@ ErrorReply decode_error(const char* payload, std::size_t len) {
   m.detail = r.str();
   r.expect_done();
   return m;
+}
+
+std::string format_server_table(const ServeStats& s) {
+  util::TablePrinter t({"server", "count"});
+  for_each_field(s, [&t](const char* name, auto v) {
+    t.add_row({name, std::to_string(v)});
+  });
+  return t.to_string();
 }
 
 }  // namespace lmp::serve

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "comm/msg_codec.h"
-#include "util/stats.h"
 
 namespace lmp::serve {
 
@@ -20,6 +19,56 @@ class ProtocolError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
 };
+
+/// End-of-run summary of a job-server session: the admission-control and
+/// retry/deadline counters the serving layer accumulates, plus queue
+/// gauges. All zeros for an idle server. Rendered by
+/// format_server_table in the same style as the health table, so
+/// `lmp_serve` output matches the rest of the tooling.
+struct ServeStats {
+  std::uint64_t submitted = 0;          ///< submissions received (any outcome)
+  std::uint64_t admitted = 0;           ///< entered the run queue
+  std::uint64_t rejected_queue_full = 0;
+  std::uint64_t rejected_quota = 0;     ///< per-tenant queued/running quota
+  std::uint64_t rejected_bad_script = 0;
+  std::uint64_t rejected_shutdown = 0;
+  std::uint64_t duplicate_submits = 0;  ///< idempotent resubmits answered
+  std::uint64_t retries = 0;            ///< attempts re-run after a failure
+  std::uint64_t deadline_missed = 0;
+  std::uint64_t completed = 0;
+  std::uint64_t failed = 0;
+  std::uint64_t cancelled = 0;
+  std::uint64_t recovered = 0;          ///< jobs requeued from the journal
+  std::uint64_t journal_torn_bytes = 0; ///< tail truncated during recovery
+  // Silent-corruption guards, summed over every slice of every job.
+  std::uint64_t integrity_checks = 0;
+  std::uint64_t integrity_detections = 0;
+  std::uint64_t integrity_rollbacks = 0;
+  std::uint64_t mem_flips_injected = 0;
+  std::int64_t queue_depth = 0;
+  std::int64_t queue_depth_peak = 0;
+  std::int64_t running = 0;
+  /// Tenant SLO windows that crossed into breach (enter-edges, from the
+  /// telemetry plane's rolling-window evaluation).
+  std::uint64_t slo_breaches = 0;
+  // Memory footprint of the serving process (alloc tracker + /proc RSS;
+  // heap numbers are zero when LMP_ALLOC_TRACE is compiled out). What
+  // tenant billing records cite alongside step counts.
+  std::int64_t heap_live_bytes = 0;
+  std::int64_t heap_high_water_bytes = 0;
+  std::int64_t rss_bytes = 0;
+  std::uint64_t total_allocs = 0;
+
+  std::uint64_t rejected_total() const {
+    return rejected_queue_full + rejected_quota + rejected_bad_script +
+           rejected_shutdown;
+  }
+};
+
+/// Render the server section of the end-of-run tables (jobs admitted /
+/// rejected / retried / deadline-missed, queue gauges), matching the
+/// established fixed-width layout.
+std::string format_server_table(const ServeStats& s);
 
 // --- wire primitives ----------------------------------------------------
 
@@ -284,8 +333,8 @@ void encode_cancel_reply(std::vector<char>& out, const CancelReply& m);
 CancelReply decode_cancel_reply(const char* payload, std::size_t len);
 
 void encode_stats(std::vector<char>& out);
-void encode_stats_reply(std::vector<char>& out, const util::ServeStats& m);
-util::ServeStats decode_stats_reply(const char* payload, std::size_t len);
+void encode_stats_reply(std::vector<char>& out, const ServeStats& m);
+ServeStats decode_stats_reply(const char* payload, std::size_t len);
 
 void encode_stats_json(std::vector<char>& out);
 void encode_stats_json_reply(std::vector<char>& out, const std::string& json);

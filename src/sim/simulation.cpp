@@ -25,9 +25,11 @@
 #include "obs/alloc_tracker.h"
 #include "obs/tracer.h"
 #include "sim/checkpoint.h"
+#include "sim/failover.h"
 #include "tofu/hardware.h"
 #include "threadpool/spin_pool.h"
 #include "threadpool/task_graph.h"
+#include "util/table_printer.h"
 
 namespace lmp::sim {
 
@@ -153,24 +155,17 @@ struct JobShared {
   }
 
   /// First failure wins: later notes (aborted/poisoned wakeups on peer
-  /// ranks) keep the root cause intact.
-  void note_failure(int rank, int step, const std::string& reason) {
+  /// ranks) keep the root cause intact. `integrity` marks the root cause
+  /// as a corruption verdict; ranks with a local violation note it
+  /// *before* the guard allreduce, so the detailed reason always beats
+  /// the generic note clean peers record afterwards.
+  void note_failure(int rank, int step, const std::string& reason,
+                    bool integrity = false) {
     std::lock_guard lock(fail_mu);
     if (!fail_reason.empty()) return;
     fail_step = step;
     fail_reason = "rank " + std::to_string(rank) + ": " + reason;
-  }
-
-  /// Like note_failure, but marks the root cause as a corruption
-  /// verdict. Ranks with a local violation call this *before* the guard
-  /// allreduce, so the detailed reason always beats the generic note
-  /// clean peers record afterwards.
-  void note_integrity(int rank, int step, const std::string& reason) {
-    std::lock_guard lock(fail_mu);
-    if (!fail_reason.empty()) return;
-    fail_step = step;
-    fail_reason = "rank " + std::to_string(rank) + ": " + reason;
-    fail_integrity = true;
+    fail_integrity = integrity;
   }
 
   void note_fatal(std::exception_ptr ep) {
@@ -322,7 +317,6 @@ class RankSim {
   }
 
   int current_step() const { return step_; }
-  util::CommHealthReport health() const { return comm_->health(); }
 
   void run(int nsteps) {
     const md::SimConfig& cfg = job_.opt.config;
@@ -353,7 +347,7 @@ class RankSim {
     for (step_ = job_.start_step + 1; step_ <= nsteps; ++step_) {
       LMP_TRACE_SPAN(obs::TraceCat::kSim, "step");
       {
-        util::ScopedStage s(timer_, Stage::kModify);
+        obs::ScopedStage s(timer_, Stage::kModify);
         integrator_->initial_integrate(atoms_);
       }
       inject_owned(step_);  // planned pos/vel bit flips land here
@@ -365,7 +359,7 @@ class RankSim {
       bool do_rebuild = ckpt_step;
       if (!do_rebuild && step_ % cfg.neigh.every == 0) {
         if (cfg.neigh.check) {
-          util::ScopedStage s(timer_, Stage::kOther);
+          obs::ScopedStage s(timer_, Stage::kOther);
           // "check yes": everyone learns whether any atom anywhere moved
           // past half the skin (the EAM allreduce the paper highlights).
           do_rebuild = job_.world.allreduce_lor(rank_, moved_too_far());
@@ -382,19 +376,19 @@ class RankSim {
       if (do_rebuild) {
         rebuild();
       } else if (!dag_forward_) {
-        util::ScopedStage s(timer_, Stage::kComm);
+        obs::ScopedStage s(timer_, Stage::kComm);
         comm_->forward_positions();
       }
       compute_forces();
       inject_force(step_);  // planned force flips land here
 
       {
-        util::ScopedStage s(timer_, Stage::kModify);
+        obs::ScopedStage s(timer_, Stage::kModify);
         integrator_->final_integrate(atoms_);
       }
 
       if (step_ % job_.opt.thermo_every == 0 || step_ == nsteps) {
-        util::ScopedStage s(timer_, Stage::kOther);
+        obs::ScopedStage s(timer_, Stage::kOther);
         record_thermo(step_);
       }
 
@@ -441,13 +435,13 @@ class RankSim {
  private:
   void rebuild() {
     {
-      util::ScopedStage s(timer_, Stage::kComm);
+      obs::ScopedStage s(timer_, Stage::kComm);
       atoms_.clear_ghosts();
       comm_->exchange();
       comm_->borders();
     }
     {
-      util::ScopedStage s(timer_, Stage::kNeigh);
+      obs::ScopedStage s(timer_, Stage::kNeigh);
       const md::SimConfig& cfg = job_.opt.config;
       list_ = cfg.newton ? neighbor_->build_half(atoms_, half_rule_)
                          : neighbor_->build_full(atoms_);
@@ -469,7 +463,7 @@ class RankSim {
   /// DESIGN.md section 12).
   void compute_forces() {
     {
-      util::ScopedStage s(timer_, Stage::kPair);
+      obs::ScopedStage s(timer_, Stage::kPair);
       atoms_.zero_forces();
       potential_->split_begin(atoms_, list_, job_.opt.config.newton,
                               &groups_);
@@ -478,7 +472,7 @@ class RankSim {
     }
     if (job_.opt.config.newton) {
       // Ghost-force return is a Comm-stage cost in LAMMPS accounting.
-      util::ScopedStage r(timer_, Stage::kComm);
+      obs::ScopedStage r(timer_, Stage::kComm);
       comm_->reverse_forces();
     }
   }
@@ -642,7 +636,7 @@ class RankSim {
   /// barrier orders every rank's staging before the commit; the second
   /// keeps the stage buffers stable until the commit is done.
   void stage_checkpoint(int step) {
-    util::ScopedStage s(timer_, Stage::kOther);
+    obs::ScopedStage s(timer_, Stage::kOther);
     auto& mine = job_.ckpt_stage[static_cast<std::size_t>(rank_)];
     mine.clear();
     mine.reserve(static_cast<std::size_t>(atoms_.nlocal()));
@@ -660,8 +654,8 @@ class RankSim {
   /// left running against a torn-down fabric).
   void check_health(int step) {
     if (!job_.monitor.enabled()) return;
-    util::ScopedStage s(timer_, Stage::kOther);
-    const util::CommHealthReport h = comm_->health();
+    obs::ScopedStage s(timer_, Stage::kOther);
+    const comm::CommHealthReport h = comm_->health();
     const comm::EscalationDecision dec = job_.monitor.assess(h);
     if (dec.escalate) {
       job_.note_failure(rank_, step,
@@ -736,7 +730,7 @@ class RankSim {
   /// agrees before anyone tears down. Read-only on the physics state —
   /// a guarded clean run is bitwise-identical to an unguarded one.
   void check_integrity(int step) {
-    util::ScopedStage s(timer_, Stage::kOther);
+    obs::ScopedStage s(timer_, Stage::kOther);
     const IntegrityOptions& integ = job_.opt.integrity;
     const md::SimConfig& cfg = job_.opt.config;
 
@@ -794,11 +788,12 @@ class RankSim {
     }
     // Local detail is noted BEFORE the verdict allreduce, so it always
     // beats the generic note clean peers record afterwards.
-    if (bad) job_.note_integrity(rank_, step, "integrity: " + reason);
+    if (bad) job_.note_failure(rank_, step, "integrity: " + reason, true);
     const bool any = job_.world.allreduce_lor(rank_, bad);
     if (any) {
       if (!bad) {
-        job_.note_integrity(rank_, step, "integrity guard tripped on a peer");
+        job_.note_failure(rank_, step, "integrity guard tripped on a peer",
+                          true);
       }
       throw IntegritySignal("integrity guard tripped at step " +
                             std::to_string(step));
@@ -856,31 +851,9 @@ bool is_failover_trigger(const std::exception_ptr& ep) {
   }
 }
 
-struct AttemptOutcome {
-  bool ok = false;
-  int fail_step = 0;
-  std::string fail_reason;
-  /// The attempt fell to a tripped integrity guard (not a comm fault):
-  /// the retry policy is rollback-and-recompute on the SAME variant.
-  bool integrity = false;
-  std::uint64_t integrity_checks = 0;
-  std::shared_ptr<const CheckpointState> last_ckpt;
-  std::uint64_t last_ckpt_hash = 0;
-  double ckpt_io_seconds = 0.0;
-  std::uint64_t ckpts_written = 0;
-  /// Fabric-side fault counters of this attempt (also harvested on
-  /// failure, so the final health report tells the whole story — the
-  /// unreachable puts happened on the *retired* variant's fabric).
-  util::CommHealthReport fabric;
-  /// Link-utilization totals of this attempt's network (same rationale:
-  /// traffic up to the failure crossed real wires).
-  tofu::FabricSnapshot links;
-  JobResult result;
-};
-
-/// Copy the fault-injector and network counters of one attempt's fabric
-/// into a health report.
-void harvest_fabric_stats(const JobShared& job, util::CommHealthReport& h) {
+/// The fault-injector and network counters of one attempt's fabric.
+comm::CommHealthReport harvest_fabric_stats(const JobShared& job) {
+  comm::CommHealthReport h;
   if (const tofu::FaultInjector* inj = job.net.fault_injector()) {
     const tofu::FaultStats& fs = inj->stats();
     h.notices_dropped = fs.dropped.load(std::memory_order_relaxed);
@@ -894,17 +867,16 @@ void harvest_fabric_stats(const JobShared& job, util::CommHealthReport& h) {
   }
   h.retransmit_puts =
       job.net.stats().retransmit_puts.load(std::memory_order_relaxed);
+  return h;
 }
 
-/// One attempt on one comm variant: run all ranks to completion or to a
-/// collective failure. Hard errors on any rank abort the fabric and
-/// poison the world so blocked peers wake promptly; every rank then
-/// rendezvouses before tearing down its comm layer (RDMA buffers must
-/// stay registered while any peer might still address them).
+}  // namespace
+
 AttemptOutcome run_attempt(const SimOptions& options,
                            const std::string& variant,
                            const std::shared_ptr<const CheckpointState>& from,
-                           int nsteps, tofu::MemFaultInjector* mem) {
+                           int nsteps, tofu::MemFaultInjector* mem,
+                           JobResult& record) {
   JobShared job(options, variant, from.get(), mem);
   const int nranks = job.decomp.nranks();
 
@@ -946,233 +918,108 @@ AttemptOutcome run_attempt(const SimOptions& options,
     }
   };
 
-  AttemptOutcome out;
+  bool failed = false;
   try {
     minimpi::run_ranks(nranks, rank_main);
   } catch (const FailoverSignal&) {
-    // run_ranks rethrows the *first* captured exception; a genuine bug
-    // on a slower rank may have been recorded after a peer's signal.
-    if (job.fatal) std::rethrow_exception(job.fatal);
-    out.ok = false;
-    {
-      std::lock_guard lock(job.fail_mu);
-      out.fail_step = job.fail_step;
-      out.fail_reason =
-          job.fail_reason.empty() ? "unknown failure" : job.fail_reason;
-      out.integrity = job.fail_integrity;
-    }
-    out.integrity_checks =
-        job.integrity_checks.load(std::memory_order_relaxed);
-    out.last_ckpt = job.last_ckpt;
-    out.last_ckpt_hash = job.last_ckpt_hash;
-    out.ckpt_io_seconds = job.ckpt_io_seconds;
-    out.ckpts_written = job.ckpts_written;
-    harvest_fabric_stats(job, out.fabric);
-    out.links = job.net.link_telemetry().snapshot();
-    return out;
+    failed = true;
   }
+  // run_ranks rethrows the *first* captured exception; a genuine bug on
+  // a slower rank may have been recorded after a peer's signal.
   if (job.fatal) std::rethrow_exception(job.fatal);
 
-  out.ok = true;
-  out.integrity_checks = job.integrity_checks.load(std::memory_order_relaxed);
+  // The attempt's bookkeeping joins the job record on either outcome:
+  // checkpoints written and fabric faults and traffic up to a failure
+  // are real (the unreachable puts happened on the *retired* variant's
+  // fabric). The finishing attempt's links lead the merge, so links with
+  // equal bytes keep their established report order.
+  JobHealth& health = record.health;
+  health.checkpoints_written += job.ckpts_written;
+  health.checkpoint_io_seconds += job.ckpt_io_seconds;
+  health.integrity_checks +=
+      job.integrity_checks.load(std::memory_order_relaxed);
+  health += harvest_fabric_stats(job);
+  tofu::FabricSnapshot links = job.net.link_telemetry().snapshot();
+  if (failed) {
+    record.fabric += links;
+  } else {
+    links += record.fabric;
+    record.fabric = std::move(links);
+  }
+
+  AttemptOutcome out;
   out.last_ckpt = job.last_ckpt;
   out.last_ckpt_hash = job.last_ckpt_hash;
-  out.ckpt_io_seconds = job.ckpt_io_seconds;
-  out.ckpts_written = job.ckpts_written;
-
-  JobResult& res = out.result;
-  res.ranks = std::move(job.results);
-  res.thermo = std::move(job.thermo);
-  res.natoms = job.natoms_total;
-  res.volume = job.global.volume();
-  res.atoms.reserve(static_cast<std::size_t>(res.natoms));
-  for (const auto& r : res.ranks) {
-    res.atoms.insert(res.atoms.end(), r.atoms.begin(), r.atoms.end());
+  if (failed) {
+    std::lock_guard lock(job.fail_mu);
+    out.fail_step = job.fail_step;
+    out.fail_reason =
+        job.fail_reason.empty() ? "unknown failure" : job.fail_reason;
+    out.integrity = job.fail_integrity;
+    return out;
   }
-  std::sort(res.atoms.begin(), res.atoms.end(),
+
+  out.ok = true;
+  record.ranks = std::move(job.results);
+  record.thermo = std::move(job.thermo);
+  record.natoms = job.natoms_total;
+  record.volume = job.global.volume();
+  record.atoms.reserve(static_cast<std::size_t>(record.natoms));
+  for (const auto& r : record.ranks) {
+    record.atoms.insert(record.atoms.end(), r.atoms.begin(), r.atoms.end());
+    health += r.health;
+  }
+  std::sort(record.atoms.begin(), record.atoms.end(),
             [](const AtomState& a, const AtomState& b) { return a.tag < b.tag; });
-  for (const auto& r : res.ranks) res.health += r.health;
-  if (job.opt.alloc_guard) res.alloc_guard = job.alloc_guard.report();
-  harvest_fabric_stats(job, out.fabric);
-  out.links = job.net.link_telemetry().snapshot();
-  res.health += out.fabric;
+  if (job.opt.alloc_guard) record.alloc_guard = job.alloc_guard.report();
+  return out;
+}
+
+namespace {
+
+/// The health record's integer counters in table order: the one list
+/// format_health_table and the run report's health section share.
+std::vector<std::pair<std::string, std::uint64_t>> health_counters(
+    const JobHealth& h) {
+  std::vector<std::pair<std::string, std::uint64_t>> out;
+  for (const auto& [name, m] : comm::kHealthCounters) {
+    out.emplace_back(name, h.*m);
+  }
+  out.emplace_back("tnis_in_use", static_cast<std::uint64_t>(h.tnis_in_use));
+  out.emplace_back("tnis_down", static_cast<std::uint64_t>(h.tnis_down));
+  out.emplace_back("checkpoints_written", h.checkpoints_written);
   return out;
 }
 
 }  // namespace
 
-JobResult run_simulation(const SimOptions& options, int nsteps) {
-  SimOptions opt = options;
-
-  if (opt.executor != "barrier" && opt.executor != "async") {
-    throw std::runtime_error("unknown executor '" + opt.executor +
-                             "' (expected 'barrier' or 'async')");
+std::string format_health_table(const JobHealth& h) {
+  util::TablePrinter t({"comm health", "count"});
+  const auto row = [&t](const std::string& name, std::uint64_t v) {
+    t.add_row({name, std::to_string(v)});
+  };
+  for (const auto& [name, v] : health_counters(h)) row(name, v);
+  t.add_row({"checkpoint_io_s",
+             util::TablePrinter::fmt(h.checkpoint_io_seconds, 3)});
+  t.add_row({"escalations", std::to_string(h.escalations.size())});
+  row("integrity_checks", h.integrity_checks);
+  row("integrity_detections", h.integrity_detections);
+  row("integrity_rollbacks", h.integrity_rollbacks);
+  row("mem_flips_injected", h.mem_flips_injected);
+  std::string out = t.to_string();
+  // The recovery story: one line per failover, after the counter table.
+  for (const EscalationEvent& e : h.escalations) {
+    out += "escalation at step " + std::to_string(e.fail_step) + ": " +
+           e.from_variant + " -> " + e.to_variant + " (resumed from step " +
+           std::to_string(e.resume_step) + "; " + e.reason + ")\n";
   }
-  if (opt.executor_threads < 1) {
-    throw std::runtime_error("executor_threads must be >= 1");
+  // One line per healed corruption, in the same grep-able style.
+  for (const IntegrityEvent& e : h.integrity_events) {
+    out += "integrity rollback at step " + std::to_string(e.detect_step) +
+           ": resumed from step " + std::to_string(e.resume_step) +
+           " (verdict=" + e.verdict + "; " + e.reason + ")\n";
   }
-  if (opt.integrity.cadence < 0) {
-    throw std::runtime_error("integrity cadence must be >= 0");
-  }
-  if (opt.integrity.enabled() &&
-      (opt.integrity.energy_tol <= 0 || opt.integrity.momentum_tol <= 0 ||
-       opt.integrity.max_rollbacks < 0)) {
-    throw std::runtime_error("integrity tolerances must be > 0 and "
-                             "max_rollbacks >= 0");
-  }
-  if (opt.checkpoint_keep < 0) {
-    throw std::runtime_error("checkpoint_keep must be >= 0");
-  }
-
-  // The transient-flip fire history must survive the rollback attempts:
-  // one injector outlives every JobShared this call builds.
-  std::shared_ptr<tofu::MemFaultInjector> mem;
-  if (opt.faults.memory_faults()) {
-    mem = std::make_shared<tofu::MemFaultInjector>(opt.faults);
-  }
-
-  // Resolve every variant the run might touch up front, so an unknown
-  // name fails on the calling thread with the full catalog — not three
-  // failovers deep inside a rank thread.
-  comm::CommFactory::instance().at(opt.comm);
-  const std::vector<std::string> chain = comm::resolve_failover_chain(
-      opt.comm, opt.failover_chain.empty() ? comm::default_failover_chain()
-                                           : opt.failover_chain);
-  for (const std::string& v : chain) comm::CommFactory::instance().at(v);
-
-  std::shared_ptr<const CheckpointState> resume;
-  if (!opt.restart_file.empty()) {
-    auto st =
-        std::make_shared<CheckpointState>(read_checkpoint(opt.restart_file));
-    // The emission schedule is part of the trajectory (checkpoint steps
-    // force rebuilds), so a restart must run the same schedule.
-    if (opt.checkpoint_every == 0) {
-      opt.checkpoint_every = st->checkpoint_every;
-    } else if (opt.checkpoint_every != st->checkpoint_every) {
-      throw std::runtime_error(
-          "restart: checkpoint_every " + std::to_string(opt.checkpoint_every) +
-          " does not match the checkpoint file's " +
-          std::to_string(st->checkpoint_every));
-    }
-    resume = std::move(st);
-  }
-
-  const int max_failovers = opt.max_failovers < 0
-                                ? static_cast<int>(chain.size()) - 1
-                                : opt.max_failovers;
-
-  std::vector<util::EscalationEvent> events;
-  std::vector<util::IntegrityEvent> recoveries;
-  util::CommHealthReport carry;  // fabric counters of failed attempts
-  tofu::FabricSnapshot link_carry;  // link traffic of failed attempts
-  double io_seconds = 0.0;
-  std::uint64_t written = 0;
-  std::uint64_t checks = 0;
-  std::uint64_t resume_hash = 0;
-  int rollbacks = 0;
-  int last_detect_step = -1;
-
-  std::size_t idx = 0;
-  for (;;) {
-    const std::string& variant = chain[idx];
-    AttemptOutcome at = run_attempt(opt, variant, resume, nsteps, mem.get());
-    io_seconds += at.ckpt_io_seconds;
-    written += at.ckpts_written;
-    checks += at.integrity_checks;
-    if (at.ok) {
-      JobResult res = std::move(at.result);
-      res.restart_step = resume ? resume->step : 0;
-      res.final_comm = variant;
-      res.fabric = std::move(at.links);
-      res.fabric += link_carry;
-      res.health += carry;
-      res.health.checkpoint_io_seconds += io_seconds;
-      res.health.checkpoints_written += written;
-      res.health.escalations = std::move(events);
-      res.health.integrity_checks += checks;
-      res.health.integrity_detections +=
-          static_cast<std::uint64_t>(recoveries.size());
-      res.health.integrity_rollbacks += static_cast<std::uint64_t>(rollbacks);
-      res.health.integrity_events = std::move(recoveries);
-      if (mem) {
-        res.health.mem_flips_injected +=
-            mem->stats().flips_injected.load(std::memory_order_relaxed);
-      }
-      return res;
-    }
-    carry += at.fabric;
-    link_carry += at.links;
-
-    if (at.integrity) {
-      // Corruption verdict: the fabric is fine — roll back to the last
-      // guarded checkpoint and recompute on the SAME variant. The
-      // trajectory is deterministic, so a recompute that trips at the
-      // same step again means the fault is stuck in place, not a
-      // one-off flip: escalate to a structured terminal error instead
-      // of looping forever (or worse, emitting a corrupt trajectory).
-      if (at.fail_step == last_detect_step) {
-        throw IntegrityError(
-            at.fail_step,
-            "persistent corruption: recompute diverged again at step " +
-                std::to_string(at.fail_step) + " (" + at.fail_reason + ")");
-      }
-      if (rollbacks >= opt.integrity.max_rollbacks) {
-        throw IntegrityError(
-            at.fail_step, "integrity rollback budget (" +
-                              std::to_string(opt.integrity.max_rollbacks) +
-                              ") exhausted at step " +
-                              std::to_string(at.fail_step) + " (" +
-                              at.fail_reason + ")");
-      }
-      // Re-verify the rollback target's content checksum before reuse:
-      // recomputing from silently corrupted parked state would launder
-      // the corruption into a "clean" trajectory.
-      std::shared_ptr<const CheckpointState> target =
-          at.last_ckpt ? at.last_ckpt : resume;
-      const std::uint64_t want =
-          at.last_ckpt ? at.last_ckpt_hash : resume_hash;
-      if (target && want != 0 && checkpoint_content_hash(*target) != want) {
-        throw IntegrityError(
-            at.fail_step,
-            "rollback checkpoint of step " + std::to_string(target->step) +
-                " failed its content checksum — parked state corrupted");
-      }
-      resume = std::move(target);
-      resume_hash = want;
-      ++rollbacks;
-      last_detect_step = at.fail_step;
-      util::IntegrityEvent ev;
-      ev.detect_step = at.fail_step;
-      ev.resume_step = resume ? resume->step : 0;
-      ev.reason = at.fail_reason;
-      ev.verdict = "transient";
-      recoveries.push_back(std::move(ev));
-      LMP_TRACE_INSTANT(obs::TraceCat::kCkpt, "integrity.rollback");
-      continue;  // same variant — this was not the comm layer's fault
-    }
-
-    // Roll back to the newest snapshot this attempt produced; without
-    // one, resume stays at the previous rollback point (or a fresh
-    // start when there has never been a checkpoint).
-    if (at.last_ckpt) {
-      resume = at.last_ckpt;
-      resume_hash = at.last_ckpt_hash;
-    }
-    if (idx + 1 >= chain.size() ||
-        static_cast<int>(events.size()) >= max_failovers) {
-      throw std::runtime_error("failover chain exhausted at variant '" +
-                               variant + "': " + at.fail_reason);
-    }
-    LMP_TRACE_INSTANT(obs::TraceCat::kCkpt, "failover.escalate");
-    util::EscalationEvent ev;
-    ev.fail_step = at.fail_step;
-    ev.resume_step = resume ? resume->step : 0;
-    ev.from_variant = variant;
-    ev.to_variant = chain[idx + 1];
-    ev.reason = at.fail_reason;
-    events.push_back(std::move(ev));
-    ++idx;
-  }
+  return out;
 }
 
 obs::RunReport build_run_report(const SimOptions& options, int nsteps,
@@ -1216,26 +1063,11 @@ obs::RunReport build_run_report(const SimOptions& options, int nsteps,
                           stages.percent(s, total)});
   }
 
-  const util::CommHealthReport& h = result.health;
-  rep.health_counters = {
-      {"nacks_sent", h.nacks_sent},
-      {"retransmits_served", h.retransmits_served},
-      {"duplicates_dropped", h.duplicates_dropped},
-      {"crc_rejects", h.crc_rejects},
-      {"notices_dropped", h.notices_dropped},
-      {"notices_delayed", h.notices_delayed},
-      {"notices_duplicated", h.notices_duplicated},
-      {"payloads_corrupted", h.payloads_corrupted},
-      {"tni_drops", h.tni_drops},
-      {"retransmit_puts", h.retransmit_puts},
-      {"unreachable_puts", h.unreachable_puts},
-      {"fabric_puts", h.fabric_puts},
-      {"tnis_in_use", static_cast<std::uint64_t>(h.tnis_in_use)},
-      {"tnis_down", static_cast<std::uint64_t>(h.tnis_down)},
-      {"checkpoints_written", h.checkpoints_written},
-  };
+  const JobHealth& h = result.health;
+  rep.health_counters = health_counters(h);
+
   rep.checkpoint_io_seconds = h.checkpoint_io_seconds;
-  for (const util::EscalationEvent& e : h.escalations) {
+  for (const EscalationEvent& e : h.escalations) {
     rep.escalations.push_back(
         {e.fail_step, e.resume_step, e.from_variant, e.to_variant, e.reason});
   }
@@ -1245,7 +1077,7 @@ obs::RunReport build_run_report(const SimOptions& options, int nsteps,
   rep.integrity_detections = h.integrity_detections;
   rep.integrity_rollbacks = h.integrity_rollbacks;
   rep.mem_flips_injected = h.mem_flips_injected;
-  for (const util::IntegrityEvent& e : h.integrity_events) {
+  for (const IntegrityEvent& e : h.integrity_events) {
     rep.integrity_events.push_back(
         {e.detect_step, e.resume_step, e.reason, e.verdict});
   }

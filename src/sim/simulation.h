@@ -18,7 +18,6 @@
 #include "tofu/fault.h"
 #include "tofu/link_telemetry.h"
 #include "tofu/network.h"
-#include "util/stats.h"
 #include "util/timer.h"
 #include "util/vec3.h"
 
@@ -128,19 +127,76 @@ struct AtomState {
 struct RankResult {
   util::StageTimer stages;
   comm::CommCounters comm;
-  util::CommHealthReport health;
+  comm::CommHealthReport health;
   int nlocal_final = 0;
   std::vector<AtomState> atoms;  ///< final owned atoms (local order)
 };
+
+/// One comm-variant escalation: the health monitor (or a hard comm
+/// error) retired `from_variant` at `fail_step`, the run rolled back to
+/// the checkpoint at `resume_step`, and continued under `to_variant`.
+/// `reason` carries the trigger — the typed error text or the exceeded
+/// threshold, including the counters that tripped it.
+struct EscalationEvent {
+  int fail_step = 0;
+  int resume_step = 0;
+  std::string from_variant;
+  std::string to_variant;
+  std::string reason;
+};
+
+/// One silent-corruption recovery episode: an integrity guard tripped at
+/// `detect_step`, the run rolled back to the checkpoint at `resume_step`
+/// and recomputed. `verdict` is "transient" for a healed flip (the
+/// recompute passed the step clean); a persistent fault never produces
+/// an event — it terminates the run with sim::IntegrityError instead.
+struct IntegrityEvent {
+  int detect_step = 0;
+  int resume_step = 0;
+  std::string reason;
+  std::string verdict;
+};
+
+/// The job's health record: the comm counters (the final attempt's ranks
+/// summed, plus every attempt's fabric-side fault counters) and the
+/// job-level story only the failover loop knows — checkpoints,
+/// escalations, integrity recoveries, injected flips. Each attempt adds
+/// its bookkeeping once; the events are appended by the loop itself, so
+/// nothing ever merges them.
+struct JobHealth : comm::CommHealthReport {
+  std::uint64_t checkpoints_written = 0;  ///< checkpoint emissions this run
+  double checkpoint_io_seconds = 0.0;     ///< wall time in checkpoint file I/O
+  std::vector<EscalationEvent> escalations;  ///< variant failovers, in order
+  // Silent-corruption guards (sim/integrity).
+  std::uint64_t integrity_checks = 0;      ///< guard evaluations run
+  std::uint64_t integrity_detections = 0;  ///< guard verdicts that tripped
+  std::uint64_t integrity_rollbacks = 0;   ///< rollback+recompute launched
+  std::uint64_t mem_flips_injected = 0;    ///< bit flips the chaos plan landed
+  std::vector<IntegrityEvent> integrity_events;  ///< recoveries, in order
+
+  /// True when nothing abnormal happened (degradation state, checkpoint
+  /// activity, and guard evaluations ignored — running guards is normal;
+  /// a guard *detection* or an injected flip is not).
+  bool clean() const {
+    return CommHealthReport::clean() && escalations.empty() &&
+           integrity_detections == 0 && integrity_rollbacks == 0 &&
+           mem_flips_injected == 0 && integrity_events.empty();
+  }
+};
+
+/// Render the health record with the standard table layout (one counter
+/// per row), then one line per escalation and per integrity rollback,
+/// for end-of-run printing.
+std::string format_health_table(const JobHealth& h);
 
 /// Whole-job outcome.
 struct JobResult {
   std::vector<RankResult> ranks;
   std::vector<ThermoSample> thermo;  ///< global series (rank 0's copy)
   std::vector<AtomState> atoms;      ///< whole system, sorted by tag
-  /// Rank-summed reliability counters plus the fabric-side injected
-  /// fault totals — what `util::format_health_table` prints.
-  util::CommHealthReport health;
+  /// Rank-summed reliability counters, the fabric-side injected fault
+  /// totals, and the job-level events — what format_health_table prints.
+  JobHealth health;
   long natoms = 0;
   double volume = 0.0;
   /// Step the (final) attempt resumed from: 0 for a fresh start, the

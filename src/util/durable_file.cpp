@@ -4,8 +4,6 @@
 #include <cstdio>
 #include <stdexcept>
 
-#include "obs/metrics.h"
-
 #if defined(__unix__) || defined(__APPLE__)
 #define LMP_HAVE_FSYNC 1
 #include <fcntl.h>
@@ -18,6 +16,7 @@ namespace lmp::util {
 namespace {
 
 std::atomic<std::uint64_t> g_fsyncs{0};
+std::atomic<FsyncObserver> g_fsync_observer{nullptr};
 
 [[noreturn]] void io_fail(const std::string& what, const std::string& path) {
   throw std::runtime_error("durable_file: " + what + " failed for " + path);
@@ -25,8 +24,10 @@ std::atomic<std::uint64_t> g_fsyncs{0};
 
 void count_fsync() {
   g_fsyncs.fetch_add(1, std::memory_order_relaxed);
-  static obs::Counter& c = obs::MetricsRegistry::instance().counter("io.fsyncs");
-  c.add(1);
+  if (const FsyncObserver fn =
+          g_fsync_observer.load(std::memory_order_acquire)) {
+    fn();
+  }
 }
 
 #ifdef LMP_HAVE_FSYNC
@@ -55,6 +56,10 @@ bool fsync_supported() {
 
 std::uint64_t fsyncs_issued() {
   return g_fsyncs.load(std::memory_order_relaxed);
+}
+
+void set_fsync_observer(FsyncObserver fn) {
+  g_fsync_observer.store(fn, std::memory_order_release);
 }
 
 void fsync_parent_dir(const std::string& path) {

@@ -13,10 +13,16 @@ namespace lmp::util {
 bool fsync_supported();
 
 /// Total fsync calls issued by the durable-file helpers this process
-/// (file data + directory entries). Mirrored into the metrics registry
-/// as counter "io.fsyncs"; exposed directly so tests can assert the
-/// write path without enabling metrics.
+/// (file data + directory entries). Exposed directly so tests can assert
+/// the write path without enabling metrics.
 std::uint64_t fsyncs_issued();
+
+/// Called after every fsync the helpers issue. util sits below the
+/// metrics layer, so obs installs one at static-initialization time to
+/// mirror the count into counter "io.fsyncs". Null (the default) counts
+/// locally only.
+using FsyncObserver = void (*)();
+void set_fsync_observer(FsyncObserver fn);
 
 /// Write `len` bytes to `path` with power-loss-safe publication:
 /// serialize to `path + ".tmp"`, fsync the file, rename over the

@@ -3,222 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
-#include <tuple>
-
-#include "obs/alloc_tracker.h"
-#include "obs/metrics.h"
-#include "util/table_printer.h"
+#include <vector>
 
 namespace lmp::util {
-
-void merge_escalations(std::vector<EscalationEvent>& into,
-                       const std::vector<EscalationEvent>& from) {
-  into.insert(into.end(), from.begin(), from.end());
-  std::stable_sort(into.begin(), into.end(),
-                   [](const EscalationEvent& a, const EscalationEvent& b) {
-                     return a.fail_step < b.fail_step;
-                   });
-  const auto same = [](const EscalationEvent& a, const EscalationEvent& b) {
-    return std::tie(a.fail_step, a.from_variant, a.to_variant) ==
-           std::tie(b.fail_step, b.from_variant, b.to_variant);
-  };
-  into.erase(std::unique(into.begin(), into.end(), same), into.end());
-}
-
-void merge_integrity_events(std::vector<IntegrityEvent>& into,
-                            const std::vector<IntegrityEvent>& from) {
-  into.insert(into.end(), from.begin(), from.end());
-  std::stable_sort(into.begin(), into.end(),
-                   [](const IntegrityEvent& a, const IntegrityEvent& b) {
-                     return a.detect_step < b.detect_step;
-                   });
-  const auto same = [](const IntegrityEvent& a, const IntegrityEvent& b) {
-    return std::tie(a.detect_step, a.resume_step, a.verdict) ==
-           std::tie(b.detect_step, b.resume_step, b.verdict);
-  };
-  into.erase(std::unique(into.begin(), into.end(), same), into.end());
-}
-
-std::string format_health_table(const CommHealthReport& h) {
-  TablePrinter t({"comm health", "count"});
-  const auto row = [&t](const char* name, std::uint64_t v) {
-    t.add_row({name, std::to_string(v)});
-  };
-  row("nacks_sent", h.nacks_sent);
-  row("retransmits_served", h.retransmits_served);
-  row("duplicates_dropped", h.duplicates_dropped);
-  row("crc_rejects", h.crc_rejects);
-  row("notices_dropped", h.notices_dropped);
-  row("notices_delayed", h.notices_delayed);
-  row("notices_duplicated", h.notices_duplicated);
-  row("payloads_corrupted", h.payloads_corrupted);
-  row("tni_drops", h.tni_drops);
-  row("retransmit_puts", h.retransmit_puts);
-  row("unreachable_puts", h.unreachable_puts);
-  row("fabric_puts", h.fabric_puts);
-  t.add_row({"tnis_in_use", std::to_string(h.tnis_in_use)});
-  t.add_row({"tnis_down", std::to_string(h.tnis_down)});
-  row("checkpoints_written", h.checkpoints_written);
-  t.add_row({"checkpoint_io_s", TablePrinter::fmt(h.checkpoint_io_seconds, 3)});
-  t.add_row({"escalations", std::to_string(h.escalations.size())});
-  row("integrity_checks", h.integrity_checks);
-  row("integrity_detections", h.integrity_detections);
-  row("integrity_rollbacks", h.integrity_rollbacks);
-  row("mem_flips_injected", h.mem_flips_injected);
-  std::string out = t.to_string();
-  // The recovery story: one line per failover, after the counter table.
-  for (const EscalationEvent& e : h.escalations) {
-    out += "escalation at step " + std::to_string(e.fail_step) + ": " +
-           e.from_variant + " -> " + e.to_variant + " (resumed from step " +
-           std::to_string(e.resume_step) + "; " + e.reason + ")\n";
-  }
-  // One line per healed corruption, in the same grep-able style.
-  for (const IntegrityEvent& e : h.integrity_events) {
-    out += "integrity rollback at step " + std::to_string(e.detect_step) +
-           ": resumed from step " + std::to_string(e.resume_step) +
-           " (verdict=" + e.verdict + "; " + e.reason + ")\n";
-  }
-  return out;
-}
-
-std::string format_server_table(const ServeStats& s) {
-  TablePrinter t({"server", "count"});
-  const auto row = [&t](const char* name, std::uint64_t v) {
-    t.add_row({name, std::to_string(v)});
-  };
-  row("submitted", s.submitted);
-  row("admitted", s.admitted);
-  row("rejected_queue_full", s.rejected_queue_full);
-  row("rejected_quota", s.rejected_quota);
-  row("rejected_bad_script", s.rejected_bad_script);
-  row("rejected_shutdown", s.rejected_shutdown);
-  row("duplicate_submits", s.duplicate_submits);
-  row("retries", s.retries);
-  row("deadline_missed", s.deadline_missed);
-  row("completed", s.completed);
-  row("failed", s.failed);
-  row("cancelled", s.cancelled);
-  row("recovered", s.recovered);
-  row("journal_torn_bytes", s.journal_torn_bytes);
-  row("integrity_checks", s.integrity_checks);
-  row("integrity_detections", s.integrity_detections);
-  row("integrity_rollbacks", s.integrity_rollbacks);
-  row("mem_flips_injected", s.mem_flips_injected);
-  t.add_row({"queue_depth", std::to_string(s.queue_depth)});
-  t.add_row({"queue_depth_peak", std::to_string(s.queue_depth_peak)});
-  t.add_row({"running", std::to_string(s.running)});
-  row("slo_breaches", s.slo_breaches);
-  t.add_row({"heap_live_bytes", std::to_string(s.heap_live_bytes)});
-  t.add_row({"heap_high_water_bytes", std::to_string(s.heap_high_water_bytes)});
-  t.add_row({"rss_bytes", std::to_string(s.rss_bytes)});
-  row("total_allocs", s.total_allocs);
-  return t.to_string();
-}
-
-std::string format_latency_table() {
-  const auto hists = obs::MetricsRegistry::instance().histograms();
-  bool any = false;
-  for (const auto& [name, s] : hists) any = any || s.count > 0;
-  std::string out;
-  if (any) {
-    // Full Summary exposure: count and min/max alongside the percentiles,
-    // so the curated view no longer hides the extremes behind raw JSON.
-    TablePrinter t({"latency (us)", "count", "mean", "p50", "p95", "p99",
-                    "min", "max"});
-    const auto us = [](double ns) {
-      return TablePrinter::fmt(ns / 1000.0, 3);
-    };
-    for (const auto& [name, s] : hists) {
-      if (s.count == 0) continue;
-      t.add_row({name, std::to_string(s.count), us(s.mean), us(s.p50),
-                 us(s.p95), us(s.p99), us(static_cast<double>(s.min)),
-                 us(static_cast<double>(s.max))});
-    }
-    out = t.to_string();
-  }
-  // Heap traffic per attribution scope (alloc tracker): the same stage /
-  // wait / slice labels as the spans above, plus whatever ran outside
-  // any scope. Absent entirely when LMP_ALLOC_TRACE is compiled out.
-  const auto scopes = obs::AllocTracker::instance().by_scope();
-  if (!scopes.empty()) {
-    const obs::AllocTotals tot = obs::AllocTracker::instance().totals();
-    TablePrinter a({"alloc scope", "allocs", "frees", "bytes", "freed bytes"});
-    for (const obs::AllocSlotStats& s : scopes) {
-      a.add_row({s.name, std::to_string(s.allocs), std::to_string(s.frees),
-                 std::to_string(s.bytes), std::to_string(s.freed_bytes)});
-    }
-    a.add_row({"(total)", std::to_string(tot.allocs), std::to_string(tot.frees),
-               std::to_string(tot.bytes), std::to_string(tot.freed_bytes)});
-    out += a.to_string();
-  }
-  return out;
-}
-
-std::string format_alloc_guard_table(const obs::AllocGuardReport& r) {
-  std::string out;
-  if (!r.enabled) return out;
-  if (!r.tracker_available) {
-    return "alloc guard: tracker not compiled in (build with "
-           "-DLMP_ALLOC_TRACE=ON) — nothing checked\n";
-  }
-  out += "alloc guard: warmup " + std::to_string(r.warmup_steps) +
-         " steps, checked " + std::to_string(r.steps_checked) + " steps: " +
-         (r.passed()
-              ? "PASS — zero steady-state allocations\n"
-              : "FAIL — " + std::to_string(r.steps_with_allocs) +
-                    " steps allocated (first at step " +
-                    std::to_string(r.first_alloc_step) + "; " +
-                    std::to_string(r.post_warmup_allocs) + " allocs, " +
-                    std::to_string(r.post_warmup_bytes) +
-                    " bytes past warmup)\n");
-  if (!r.rows.empty()) {
-    TablePrinter t({"post-warmup scope", "allocs", "frees", "bytes"});
-    for (const obs::AllocSlotStats& s : r.rows) {
-      t.add_row({s.name, std::to_string(s.allocs), std::to_string(s.frees),
-                 std::to_string(s.bytes)});
-    }
-    out += t.to_string();
-  }
-  return out;
-}
-
-std::string format_metrics_table() {
-  const auto counters = obs::MetricsRegistry::instance().counters();
-  const auto gauges = obs::MetricsRegistry::instance().gauges();
-  const auto hists = obs::MetricsRegistry::instance().histograms();
-  std::string out;
-  bool any_counter = false;
-  for (const auto& [name, v] : counters) any_counter = any_counter || v > 0;
-  if (any_counter) {
-    TablePrinter t({"counter", "value"});
-    for (const auto& [name, v] : counters) t.add_row({name, std::to_string(v)});
-    out += t.to_string();
-  }
-  bool any_gauge = false;
-  for (const auto& [name, g] : gauges) any_gauge = any_gauge || g != 0;
-  if (any_gauge) {
-    TablePrinter t({"gauge", "value"});
-    for (const auto& [name, v] : gauges) t.add_row({name, std::to_string(v)});
-    out += t.to_string();
-  }
-  bool any_hist = false;
-  for (const auto& [name, s] : hists) any_hist = any_hist || s.count > 0;
-  if (any_hist) {
-    // Raw units (ns for latencies, entries for depths) — the curated
-    // microsecond view is format_latency_table.
-    TablePrinter t({"histogram", "count", "mean", "p50", "p95", "p99", "min",
-                    "max"});
-    for (const auto& [name, s] : hists) {
-      if (s.count == 0) continue;
-      t.add_row({name, std::to_string(s.count), TablePrinter::fmt(s.mean, 1),
-                 TablePrinter::fmt(s.p50, 1), TablePrinter::fmt(s.p95, 1),
-                 TablePrinter::fmt(s.p99, 1), std::to_string(s.min),
-                 std::to_string(s.max)});
-    }
-    out += t.to_string();
-  }
-  return out;
-}
 
 void RunningStats::add(double x) {
   if (std::isnan(x)) {
@@ -254,6 +41,10 @@ double percentile(std::span<const double> xs, double p) {
     if (std::isnan(x)) throw std::invalid_argument("percentile: NaN sample");
   }
   std::sort(sorted.begin(), sorted.end());
+  return percentile_sorted(sorted, p);
+}
+
+double percentile_sorted(std::span<const double> sorted, double p) {
   const double rank = (p / 100.0) * static_cast<double>(sorted.size() - 1);
   const auto lo = static_cast<std::size_t>(rank);
   const auto hi = std::min(lo + 1, sorted.size() - 1);

@@ -1,200 +1,9 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <span>
-#include <string>
-#include <vector>
-
-#include "obs/alloc_tracker.h"
 
 namespace lmp::util {
-
-/// One comm-variant escalation: the health monitor (or a hard comm
-/// error) retired `from_variant` at `fail_step`, the run rolled back to
-/// the checkpoint at `resume_step`, and continued under `to_variant`.
-/// `reason` carries the trigger — the typed error text or the exceeded
-/// threshold, including the counters that tripped it.
-struct EscalationEvent {
-  int fail_step = 0;
-  int resume_step = 0;
-  std::string from_variant;
-  std::string to_variant;
-  std::string reason;
-};
-
-/// Merge `from` into `into`: the union is sorted by fail_step (stable,
-/// so same-step events keep their relative order) and events identical
-/// in (fail_step, from_variant, to_variant) collapse to the first one.
-/// Summing per-rank health reports would otherwise replicate each
-/// job-level escalation once per rank and interleave them out of order.
-void merge_escalations(std::vector<EscalationEvent>& into,
-                       const std::vector<EscalationEvent>& from);
-
-/// One silent-corruption recovery episode: an integrity guard tripped at
-/// `detect_step`, the run rolled back to the checkpoint at `resume_step`
-/// and recomputed. `verdict` is "transient" for a healed flip (the
-/// recompute passed the step clean); a persistent fault never produces
-/// an event — it terminates the run with sim::IntegrityError instead.
-struct IntegrityEvent {
-  int detect_step = 0;
-  int resume_step = 0;
-  std::string reason;
-  std::string verdict;
-};
-
-/// Same dedupe-and-sort rationale as merge_escalations, keyed on
-/// (detect_step, resume_step, verdict).
-void merge_integrity_events(std::vector<IntegrityEvent>& into,
-                            const std::vector<IntegrityEvent>& from);
-
-/// End-of-run communication health summary: what the reliability layer
-/// and the fault injector saw. All zeros on a clean run — the acceptance
-/// bar for "no overhead on the clean path".
-struct CommHealthReport {
-  // Receiver/sender protocol activity (comm layer).
-  std::uint64_t nacks_sent = 0;           ///< retransmit requests issued
-  std::uint64_t retransmits_served = 0;   ///< pending sends replayed
-  std::uint64_t duplicates_dropped = 0;   ///< stale/dup notices filtered
-  std::uint64_t crc_rejects = 0;          ///< checksum mismatches detected
-  // Fabric-side injected faults (fault injector view).
-  std::uint64_t notices_dropped = 0;
-  std::uint64_t notices_delayed = 0;
-  std::uint64_t notices_duplicated = 0;
-  std::uint64_t payloads_corrupted = 0;
-  std::uint64_t tni_drops = 0;            ///< puts swallowed by a dead TNI
-  std::uint64_t retransmit_puts = 0;      ///< fabric-level replay puts
-  std::uint64_t unreachable_puts = 0;     ///< puts refused on severed routes
-  std::uint64_t fabric_puts = 0;          ///< total puts the fabric carried
-  // Degradation state.
-  int tnis_in_use = 0;
-  int tnis_down = 0;
-  // Self-healing runtime (checkpoint/restart + failover ladder).
-  std::uint64_t checkpoints_written = 0;  ///< checkpoint emissions this run
-  double checkpoint_io_seconds = 0.0;     ///< wall time in checkpoint file I/O
-  std::vector<EscalationEvent> escalations;  ///< comm-variant failovers, in order
-  // Silent-corruption guards (sim/integrity).
-  std::uint64_t integrity_checks = 0;      ///< guard evaluations run
-  std::uint64_t integrity_detections = 0;  ///< guard verdicts that tripped
-  std::uint64_t integrity_rollbacks = 0;   ///< rollback+recompute launched
-  std::uint64_t mem_flips_injected = 0;    ///< bit flips the chaos plan landed
-  std::vector<IntegrityEvent> integrity_events;  ///< recoveries, in order
-
-  CommHealthReport& operator+=(const CommHealthReport& o) {
-    nacks_sent += o.nacks_sent;
-    retransmits_served += o.retransmits_served;
-    duplicates_dropped += o.duplicates_dropped;
-    crc_rejects += o.crc_rejects;
-    notices_dropped += o.notices_dropped;
-    notices_delayed += o.notices_delayed;
-    notices_duplicated += o.notices_duplicated;
-    payloads_corrupted += o.payloads_corrupted;
-    tni_drops += o.tni_drops;
-    retransmit_puts += o.retransmit_puts;
-    unreachable_puts += o.unreachable_puts;
-    fabric_puts += o.fabric_puts;
-    tnis_in_use = tnis_in_use > o.tnis_in_use ? tnis_in_use : o.tnis_in_use;
-    tnis_down = tnis_down > o.tnis_down ? tnis_down : o.tnis_down;
-    checkpoints_written += o.checkpoints_written;
-    checkpoint_io_seconds += o.checkpoint_io_seconds;
-    merge_escalations(escalations, o.escalations);
-    integrity_checks += o.integrity_checks;
-    integrity_detections += o.integrity_detections;
-    integrity_rollbacks += o.integrity_rollbacks;
-    mem_flips_injected += o.mem_flips_injected;
-    merge_integrity_events(integrity_events, o.integrity_events);
-    return *this;
-  }
-
-  /// True when nothing abnormal happened (degradation state, checkpoint
-  /// activity, and guard evaluations ignored — running guards is normal;
-  /// a guard *detection* or an injected flip is not).
-  bool clean() const {
-    return nacks_sent == 0 && retransmits_served == 0 &&
-           duplicates_dropped == 0 && crc_rejects == 0 &&
-           notices_dropped == 0 && notices_delayed == 0 &&
-           notices_duplicated == 0 && payloads_corrupted == 0 &&
-           tni_drops == 0 && retransmit_puts == 0 && unreachable_puts == 0 &&
-           escalations.empty() && integrity_detections == 0 &&
-           integrity_rollbacks == 0 && mem_flips_injected == 0 &&
-           integrity_events.empty();
-  }
-};
-
-/// Render the health report with the standard table layout (one counter
-/// per row) for end-of-run printing.
-std::string format_health_table(const CommHealthReport& h);
-
-/// End-of-run summary of a job-server session: the admission-control and
-/// retry/deadline counters the serving layer accumulates, plus queue
-/// gauges. All zeros for an idle server. Rendered by
-/// format_server_table in the same style as the health table, so
-/// `lmp_serve` output matches the rest of the tooling.
-struct ServeStats {
-  std::uint64_t submitted = 0;          ///< submissions received (any outcome)
-  std::uint64_t admitted = 0;           ///< entered the run queue
-  std::uint64_t rejected_queue_full = 0;
-  std::uint64_t rejected_quota = 0;     ///< per-tenant queued/running quota
-  std::uint64_t rejected_bad_script = 0;
-  std::uint64_t rejected_shutdown = 0;
-  std::uint64_t duplicate_submits = 0;  ///< idempotent resubmits answered
-  std::uint64_t retries = 0;            ///< attempts re-run after a failure
-  std::uint64_t deadline_missed = 0;
-  std::uint64_t completed = 0;
-  std::uint64_t failed = 0;
-  std::uint64_t cancelled = 0;
-  std::uint64_t recovered = 0;          ///< jobs requeued from the journal
-  std::uint64_t journal_torn_bytes = 0; ///< tail truncated during recovery
-  // Silent-corruption guards, summed over every slice of every job.
-  std::uint64_t integrity_checks = 0;
-  std::uint64_t integrity_detections = 0;
-  std::uint64_t integrity_rollbacks = 0;
-  std::uint64_t mem_flips_injected = 0;
-  std::int64_t queue_depth = 0;
-  std::int64_t queue_depth_peak = 0;
-  std::int64_t running = 0;
-  /// Tenant SLO windows that crossed into breach (enter-edges, from the
-  /// telemetry plane's rolling-window evaluation).
-  std::uint64_t slo_breaches = 0;
-  // Memory footprint of the serving process (alloc tracker + /proc RSS;
-  // heap numbers are zero when LMP_ALLOC_TRACE is compiled out). What
-  // tenant billing records cite alongside step counts.
-  std::int64_t heap_live_bytes = 0;
-  std::int64_t heap_high_water_bytes = 0;
-  std::int64_t rss_bytes = 0;
-  std::uint64_t total_allocs = 0;
-
-  std::uint64_t rejected_total() const {
-    return rejected_queue_full + rejected_quota + rejected_bad_script +
-           rejected_shutdown;
-  }
-};
-
-/// Render the server section of the end-of-run tables (jobs admitted /
-/// rejected / retried / deadline-missed, queue gauges), matching the
-/// established fixed-width layout.
-std::string format_server_table(const ServeStats& s);
-
-/// Render the latency histograms the metrics registry collected this run
-/// (put latency per TNI, notice waits, pool dispatch/run, ...) as a
-/// table in microseconds, three decimals — followed, when the alloc
-/// tracker saw traffic, by the per-scope allocation table (allocs /
-/// frees / bytes per attribution scope). Empty string when no histogram
-/// recorded anything and no allocation was tracked.
-std::string format_latency_table();
-
-/// Render an alloc-guard verdict: one summary line (PASS / FAIL with
-/// the post-warmup totals) plus the per-scope attribution table of the
-/// post-warmup window when anything allocated. Empty string when the
-/// guard never ran.
-std::string format_alloc_guard_table(const obs::AllocGuardReport& r);
-
-/// Render the FULL metrics registry — every counter, gauge (value and
-/// high-water mark), and histogram in its raw units — as plain-text
-/// tables. The `--metrics` / script `metrics` dump; format_latency_table
-/// remains the curated microsecond subset. Empty string when nothing was
-/// recorded.
-std::string format_metrics_table();
 
 /// Streaming mean/variance accumulator (Welford).
 class RunningStats {
@@ -221,6 +30,12 @@ class RunningStats {
 /// empty sample, or when `p` or any sample is NaN. The input span is
 /// copied; the original is untouched.
 double percentile(std::span<const double> xs, double p);
+
+/// The interpolation behind percentile(), for callers that already hold
+/// the samples sorted ascending and want several quantiles from one
+/// sort. Unchecked: `sorted` must be non-empty and NaN-free, `p` in
+/// [0, 100].
+double percentile_sorted(std::span<const double> sorted, double p);
 
 /// Mean of a sample set; 0 for an empty span.
 double mean(std::span<const double> xs);

@@ -2,40 +2,23 @@
 
 namespace lmp::util {
 
-std::string_view stage_name(Stage s) {
-  switch (s) {
-    case Stage::kPair:
-      return "Pair";
-    case Stage::kNeigh:
-      return "Neigh";
-    case Stage::kComm:
-      return "Comm";
-    case Stage::kModify:
-      return "Modify";
-    case Stage::kOther:
-      return "Other";
-    case Stage::kCount:
-      break;
-  }
-  return "?";
-}
+namespace {
+
+constexpr std::string_view kStagePrefix = "stage:";
+
+/// The one stage-name table, in Stage order.
+constexpr const char* kStageKeys[kStageCount] = {
+    "stage:Pair", "stage:Neigh", "stage:Comm", "stage:Modify", "stage:Other"};
+
+}  // namespace
 
 const char* stage_trace_name(Stage s) {
-  switch (s) {
-    case Stage::kPair:
-      return "stage:Pair";
-    case Stage::kNeigh:
-      return "stage:Neigh";
-    case Stage::kComm:
-      return "stage:Comm";
-    case Stage::kModify:
-      return "stage:Modify";
-    case Stage::kOther:
-      return "stage:Other";
-    case Stage::kCount:
-      break;
-  }
-  return "stage:?";
+  const int i = static_cast<int>(s);
+  return i >= 0 && i < kStageCount ? kStageKeys[i] : "stage:?";
+}
+
+std::string_view stage_name(Stage s) {
+  return std::string_view(stage_trace_name(s)).substr(kStagePrefix.size());
 }
 
 }  // namespace lmp::util

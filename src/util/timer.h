@@ -5,9 +5,6 @@
 #include <cstdint>
 #include <string_view>
 
-#include "obs/alloc_tracker.h"
-#include "obs/tracer.h"
-
 namespace lmp::util {
 
 /// Monotonic wall-clock stopwatch.
@@ -45,11 +42,15 @@ constexpr std::array<Stage, kStageCount> all_stages() {
           Stage::kOther};
 }
 
-std::string_view stage_name(Stage s);
-
-/// Static-storage trace label for a stage ("stage:Pair", ...). TraceSpan
-/// stores name pointers, so labels must outlive every span.
+/// Static-storage key for a stage ("stage:Pair", ...): the one name the
+/// stage timer's span and alloc-attribution scope both carry
+/// (obs::ScopedStage). TraceSpan stores name pointers, so keys must
+/// outlive every span.
 const char* stage_trace_name(Stage s);
+
+/// Report label for a stage ("Pair", ...): its trace key without the
+/// "stage:" prefix.
+std::string_view stage_name(Stage s);
 
 /// Accumulates wall (or modeled) seconds per LAMMPS stage.
 ///
@@ -84,33 +85,6 @@ class StageTimer {
 
  private:
   std::array<double, kStageCount> acc_{};
-};
-
-/// RAII helper: measures a scope's wall time into a StageTimer stage.
-/// Doubles as a trace span: when the sim trace category is enabled the
-/// same scope appears as a "stage:*" span on the owning thread's track,
-/// so every existing timing site is a tracing site with no edits. It is
-/// also an allocation-attribution scope — with LMP_ALLOC_TRACE on, heap
-/// traffic inside the stage lands on the same "stage:*" label in the
-/// alloc tracker, which is how the per-stage memory columns and the
-/// zero-alloc guard's attribution table get their data for free.
-class ScopedStage {
- public:
-  ScopedStage(StageTimer& t, Stage s)
-      : timer_(t),
-        stage_(s),
-        span_(obs::TraceCat::kSim, stage_trace_name(s)),
-        alloc_scope_(stage_trace_name(s)) {}
-  ~ScopedStage() { timer_.add(stage_, watch_.seconds()); }
-  ScopedStage(const ScopedStage&) = delete;
-  ScopedStage& operator=(const ScopedStage&) = delete;
-
- private:
-  StageTimer& timer_;
-  Stage stage_;
-  obs::TraceSpan span_;
-  obs::AllocScope alloc_scope_;
-  WallTimer watch_;
 };
 
 }  // namespace lmp::util

@@ -4,7 +4,6 @@
 #include <thread>
 
 #include "obs/alloc_tracker.h"
-#include "util/stats.h"
 
 namespace lmp::obs {
 namespace {
@@ -216,13 +215,13 @@ TEST(AllocGuard, DefaultWarmupIsHalfTheRun) {
 
 TEST(AllocGuard, FormatTableRendersVerdictAndScopes) {
   AllocGuardReport r;
-  EXPECT_EQ(util::format_alloc_guard_table(r), "");  // never armed
+  EXPECT_EQ(obs::format_alloc_guard_table(r), "");  // never armed
 
   r.enabled = true;
   r.tracker_available = true;
   r.warmup_steps = 5;
   r.steps_checked = 5;
-  const std::string pass = util::format_alloc_guard_table(r);
+  const std::string pass = obs::format_alloc_guard_table(r);
   EXPECT_NE(pass.find("PASS"), std::string::npos);
 
   r.steps_with_allocs = 2;
@@ -233,7 +232,7 @@ TEST(AllocGuard, FormatTableRendersVerdictAndScopes) {
   row.allocs = 12;
   row.bytes = 4096;
   r.rows.push_back(row);
-  const std::string fail = util::format_alloc_guard_table(r);
+  const std::string fail = obs::format_alloc_guard_table(r);
   EXPECT_NE(fail.find("FAIL"), std::string::npos);
   EXPECT_NE(fail.find("stage:Comm"), std::string::npos);
 }

@@ -64,7 +64,7 @@ TEST(HealthMonitor, TripsOnlyPastConfiguredBudgets) {
   comm::HealthMonitor mon(thr);
   EXPECT_TRUE(mon.enabled());
 
-  util::CommHealthReport h;
+  comm::CommHealthReport h;
   h.nacks_sent = 5;  // at the budget, not over it
   h.tnis_in_use = 6;
   EXPECT_FALSE(mon.assess(h).escalate);
@@ -120,7 +120,7 @@ TEST(Failover, LinkDownFromStartWalksLadderAndCompletes) {
     EXPECT_EQ(e.resume_step, 0);  // never got far enough to checkpoint
   }
   // The table tells the recovery story.
-  const std::string table = util::format_health_table(r.health);
+  const std::string table = sim::format_health_table(r.health);
   EXPECT_NE(table.find("escalation at step"), std::string::npos) << table;
   EXPECT_NE(table.find("6tni_p2p -> 4tni_p2p"), std::string::npos) << table;
 }
@@ -144,7 +144,7 @@ TEST(Failover, ThresholdsTripSoftFailoverAtCheckpointStep) {
   ASSERT_NO_THROW(r = sim::run_simulation(o, 30));
   EXPECT_EQ(r.final_comm, "mpi_p2p");
   ASSERT_EQ(r.health.escalations.size(), 1u);
-  const util::EscalationEvent& ev = r.health.escalations[0];
+  const sim::EscalationEvent& ev = r.health.escalations[0];
   // Soft escalation is assessed at checkpoint steps only, right after
   // the snapshot was cut — so the rollback loses no work.
   EXPECT_EQ(ev.fail_step % 10, 0);
@@ -202,7 +202,7 @@ TEST(Failover, TniDiesMidRunBitwiseAfterFailover) {
   ASSERT_NO_THROW(r = sim::run_simulation(o, 30));
   EXPECT_EQ(r.final_comm, "mpi_p2p");
   ASSERT_EQ(r.health.escalations.size(), 1u);
-  const util::EscalationEvent& ev = r.health.escalations[0];
+  const sim::EscalationEvent& ev = r.health.escalations[0];
   EXPECT_GT(ev.resume_step, 0) << "fault fired before the first checkpoint";
   EXPECT_LT(ev.resume_step, 30);
   EXPECT_GT(r.health.unreachable_puts, 0u);

@@ -12,7 +12,6 @@
 #include "sim/simulation.h"
 #include "tofu/fault.h"
 #include "tofu/network.h"
-#include "util/stats.h"
 
 namespace lmp {
 namespace {
@@ -487,11 +486,11 @@ TEST(NetworkHardening, ErrorsNameTheAccess) {
 // --- health report -------------------------------------------------------
 
 TEST(HealthReport, AccumulatesAndFormats) {
-  util::CommHealthReport a;
+  sim::JobHealth a;
   EXPECT_TRUE(a.clean());
   a.nacks_sent = 2;
   a.tnis_in_use = 5;
-  util::CommHealthReport b;
+  comm::CommHealthReport b;
   b.nacks_sent = 3;
   b.crc_rejects = 1;
   b.tnis_in_use = 6;
@@ -500,7 +499,7 @@ TEST(HealthReport, AccumulatesAndFormats) {
   EXPECT_EQ(a.crc_rejects, 1u);
   EXPECT_EQ(a.tnis_in_use, 6);
   EXPECT_FALSE(a.clean());
-  const std::string table = util::format_health_table(a);
+  const std::string table = sim::format_health_table(a);
   EXPECT_NE(table.find("nacks_sent"), std::string::npos);
   EXPECT_NE(table.find("tnis_in_use"), std::string::npos);
   EXPECT_NE(table.find("5"), std::string::npos);

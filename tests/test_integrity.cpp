@@ -147,7 +147,7 @@ void expect_transient_recovery(SimOptions o, int nsteps) {
   EXPECT_EQ(healed.health.integrity_detections, 1u);
   EXPECT_EQ(healed.health.integrity_rollbacks, 1u);
   ASSERT_EQ(healed.health.integrity_events.size(), 1u);
-  const util::IntegrityEvent& ev = healed.health.integrity_events[0];
+  const sim::IntegrityEvent& ev = healed.health.integrity_events[0];
   EXPECT_EQ(ev.detect_step, 15);  // flip at 15, guard cadence 5
   EXPECT_EQ(ev.resume_step, 10);  // newest checkpoint below the flip
   EXPECT_EQ(ev.verdict, "transient");

@@ -15,7 +15,6 @@
 
 #include "sim/input_script.h"
 #include "sim/simulation.h"
-#include "util/stats.h"
 
 namespace lmp::serve {
 namespace {
@@ -166,12 +165,35 @@ TEST(ServeProtocol, RepliesRoundTrip) {
   cr.terminal = true;
   encode_chunks_reply(buf, cr);
 
-  util::ServeStats st;
-  st.submitted = 5;
-  st.admitted = 4;
-  st.rejected_queue_full = 1;
-  st.retries = 2;
-  st.queue_depth = 3;
+  // Every field distinct and nonzero, so a field the codec drops or
+  // swaps cannot round-trip by accident.
+  ServeStats st;
+  st.submitted = 1;
+  st.admitted = 2;
+  st.rejected_queue_full = 3;
+  st.rejected_quota = 4;
+  st.rejected_bad_script = 5;
+  st.rejected_shutdown = 6;
+  st.duplicate_submits = 7;
+  st.retries = 8;
+  st.deadline_missed = 9;
+  st.completed = 10;
+  st.failed = 11;
+  st.cancelled = 12;
+  st.recovered = 13;
+  st.journal_torn_bytes = 14;
+  st.integrity_checks = 15;
+  st.integrity_detections = 16;
+  st.integrity_rollbacks = 17;
+  st.mem_flips_injected = 18;
+  st.queue_depth = 19;
+  st.queue_depth_peak = 20;
+  st.running = 21;
+  st.slo_breaches = 22;
+  st.heap_live_bytes = 23;
+  st.heap_high_water_bytes = 24;
+  st.rss_bytes = 25;
+  st.total_allocs = 26;
   encode_stats_reply(buf, st);
 
   std::size_t off = 0;
@@ -202,10 +224,33 @@ TEST(ServeProtocol, RepliesRoundTrip) {
 
   f = comm::decode_frame(buf.data() + off, buf.size() - off);
   ASSERT_TRUE(f.ok());
-  const util::ServeStats st2 = decode_stats_reply(f.payload, f.payload_len);
-  EXPECT_EQ(st2.submitted, 5u);
-  EXPECT_EQ(st2.rejected_queue_full, 1u);
-  EXPECT_EQ(st2.queue_depth, 3);
+  const ServeStats st2 = decode_stats_reply(f.payload, f.payload_len);
+  EXPECT_EQ(st2.submitted, st.submitted);
+  EXPECT_EQ(st2.admitted, st.admitted);
+  EXPECT_EQ(st2.rejected_queue_full, st.rejected_queue_full);
+  EXPECT_EQ(st2.rejected_quota, st.rejected_quota);
+  EXPECT_EQ(st2.rejected_bad_script, st.rejected_bad_script);
+  EXPECT_EQ(st2.rejected_shutdown, st.rejected_shutdown);
+  EXPECT_EQ(st2.duplicate_submits, st.duplicate_submits);
+  EXPECT_EQ(st2.retries, st.retries);
+  EXPECT_EQ(st2.deadline_missed, st.deadline_missed);
+  EXPECT_EQ(st2.completed, st.completed);
+  EXPECT_EQ(st2.failed, st.failed);
+  EXPECT_EQ(st2.cancelled, st.cancelled);
+  EXPECT_EQ(st2.recovered, st.recovered);
+  EXPECT_EQ(st2.journal_torn_bytes, st.journal_torn_bytes);
+  EXPECT_EQ(st2.integrity_checks, st.integrity_checks);
+  EXPECT_EQ(st2.integrity_detections, st.integrity_detections);
+  EXPECT_EQ(st2.integrity_rollbacks, st.integrity_rollbacks);
+  EXPECT_EQ(st2.mem_flips_injected, st.mem_flips_injected);
+  EXPECT_EQ(st2.queue_depth, st.queue_depth);
+  EXPECT_EQ(st2.queue_depth_peak, st.queue_depth_peak);
+  EXPECT_EQ(st2.running, st.running);
+  EXPECT_EQ(st2.slo_breaches, st.slo_breaches);
+  EXPECT_EQ(st2.heap_live_bytes, st.heap_live_bytes);
+  EXPECT_EQ(st2.heap_high_water_bytes, st.heap_high_water_bytes);
+  EXPECT_EQ(st2.rss_bytes, st.rss_bytes);
+  EXPECT_EQ(st2.total_allocs, st.total_allocs);
   EXPECT_EQ(off + f.consumed, buf.size());
 }
 
@@ -265,11 +310,11 @@ TEST(JobServer, RunsJobStreamsBitwiseIdenticalThermoAndWritesReport) {
   EXPECT_TRUE(std::ifstream(base + ".report.json").good());
   EXPECT_TRUE(std::ifstream(base + ".dump").good());
 
-  const util::ServeStats st = server.stats();
+  const ServeStats st = server.stats();
   EXPECT_EQ(st.completed, 1u);
   EXPECT_EQ(st.failed, 0u);
   EXPECT_EQ(st.retries, 0u);
-  const std::string table = util::format_server_table(st);
+  const std::string table = format_server_table(st);
   EXPECT_NE(table.find("completed"), std::string::npos);
   EXPECT_NE(table.find("server"), std::string::npos);
   server.stop(StopMode::kDrain);
@@ -304,13 +349,13 @@ TEST(JobServer, HealsInjectedMemoryFlipAndSurfacesIntegrityCounters) {
   // The healed stream still matches the fault-free reference bitwise.
   EXPECT_EQ(all_chunks(server, r.job_id), reference_thermo(script, 10));
 
-  const util::ServeStats st = server.stats();
+  const ServeStats st = server.stats();
   EXPECT_EQ(st.completed, 1u);
   EXPECT_GT(st.integrity_checks, 0u);
   EXPECT_EQ(st.integrity_detections, 1u);
   EXPECT_EQ(st.integrity_rollbacks, 1u);
   EXPECT_EQ(st.mem_flips_injected, 1u);
-  const std::string table = util::format_server_table(st);
+  const std::string table = format_server_table(st);
   EXPECT_NE(table.find("integrity_detections"), std::string::npos);
 
   // The whole-job totals land in the report's integrity section.
@@ -374,7 +419,7 @@ TEST(JobServer, OverloadYieldsStructuredRejectionsInBoundedTime) {
   EXPECT_LT(std::chrono::duration_cast<std::chrono::seconds>(elapsed).count(),
             30);
 
-  const util::ServeStats st = server.stats();
+  const ServeStats st = server.stats();
   EXPECT_EQ(st.admitted, 3u);
   EXPECT_EQ(server.jobs().size(), 3u);  // rejections counted, not stored
   EXPECT_EQ(st.rejected_total(),
@@ -871,7 +916,7 @@ TEST(JobServer, ChaosSoakKeepsQueueInvariantsAcrossKillRestartCycles) {
   EXPECT_GE(done, specs.size() - 1);
   // Counters are per-incarnation: jobs that reached a terminal state in
   // an earlier life are terminal at recovery, not re-counted here.
-  const util::ServeStats st = server.stats();
+  const ServeStats st = server.stats();
   EXPECT_LE(st.completed + st.cancelled, done + cancelled);
   EXPECT_LE(st.queue_depth_peak, cfg.queue_capacity);
   EXPECT_EQ(st.queue_depth, 0);

@@ -136,51 +136,5 @@ TEST(RegressionSlope, TooFewPointsThrows) {
   EXPECT_THROW(regression_slope(x, y), std::invalid_argument);
 }
 
-EscalationEvent esc(int fail_step, const char* from, const char* to,
-                    int resume_step = 0) {
-  EscalationEvent e;
-  e.fail_step = fail_step;
-  e.resume_step = resume_step;
-  e.from_variant = from;
-  e.to_variant = to;
-  return e;
-}
-
-TEST(MergeEscalations, SortsByFailStep) {
-  std::vector<EscalationEvent> into{esc(50, "opt", "6tni_p2p")};
-  merge_escalations(into, {esc(10, "6tni_p2p", "p2p")});
-  ASSERT_EQ(into.size(), 2u);
-  EXPECT_EQ(into[0].fail_step, 10);
-  EXPECT_EQ(into[1].fail_step, 50);
-}
-
-TEST(MergeEscalations, DedupesIdenticalTransitions) {
-  // Summing N per-rank reports replicates each job-level escalation N
-  // times; the merged report must keep one copy.
-  std::vector<EscalationEvent> into{esc(30, "opt", "6tni_p2p", 20)};
-  merge_escalations(into, {esc(30, "opt", "6tni_p2p", 20)});
-  merge_escalations(into, {esc(30, "opt", "6tni_p2p", 20)});
-  ASSERT_EQ(into.size(), 1u);
-  EXPECT_EQ(into[0].from_variant, "opt");
-  EXPECT_EQ(into[0].to_variant, "6tni_p2p");
-}
-
-TEST(MergeEscalations, KeepsDistinctTransitionsAtSameStep) {
-  std::vector<EscalationEvent> into{esc(30, "opt", "6tni_p2p")};
-  merge_escalations(into, {esc(30, "6tni_p2p", "p2p")});
-  EXPECT_EQ(into.size(), 2u);
-}
-
-TEST(MergeEscalations, HealthReportSumMergesEscalations) {
-  CommHealthReport a;
-  a.escalations = {esc(40, "opt", "6tni_p2p")};
-  CommHealthReport b;
-  b.escalations = {esc(40, "opt", "6tni_p2p"), esc(10, "x", "y")};
-  a += b;
-  ASSERT_EQ(a.escalations.size(), 2u);
-  EXPECT_EQ(a.escalations[0].fail_step, 10);
-  EXPECT_EQ(a.escalations[1].fail_step, 40);
-}
-
 }  // namespace
 }  // namespace lmp::util

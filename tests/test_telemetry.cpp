@@ -31,6 +31,7 @@
 #include "serve/stream_endpoint.h"
 #include "serve/telemetry.h"
 #include "util/json_mini.h"
+#include "util/stats.h"
 
 namespace lmp {
 namespace {
@@ -97,6 +98,12 @@ TEST(TimeSeries, PercentilesInterpolateOverSortedValues) {
   EXPECT_NEAR(a.p50, 50.5, 0.5);
   EXPECT_NEAR(a.p95, 95.05, 0.5);
   EXPECT_NEAR(a.p99, 99.01, 0.5);
+  // Same interpolation as the validating entry point, bit for bit.
+  std::vector<double> values;
+  for (const obs::Sample& s : samples) values.push_back(s.value);
+  EXPECT_EQ(a.p50, util::percentile(values, 50.0));
+  EXPECT_EQ(a.p95, util::percentile(values, 95.0));
+  EXPECT_EQ(a.p99, util::percentile(values, 99.0));
   // rate = sum / window-seconds
   EXPECT_NEAR(a.rate_per_s, 5050.0 / 1.0, 1e-9);
 }

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "obs/tracer.h"
 #include "util/timer.h"
 
 namespace lmp::util {
@@ -48,12 +49,18 @@ TEST(StageTimer, StageNames) {
   EXPECT_EQ(stage_name(Stage::kComm), "Comm");
   EXPECT_EQ(stage_name(Stage::kModify), "Modify");
   EXPECT_EQ(stage_name(Stage::kOther), "Other");
+  // The span / alloc-scope key is the same table entry, prefixed.
+  EXPECT_STREQ(stage_trace_name(Stage::kPair), "stage:Pair");
+  EXPECT_STREQ(stage_trace_name(Stage::kNeigh), "stage:Neigh");
+  EXPECT_STREQ(stage_trace_name(Stage::kComm), "stage:Comm");
+  EXPECT_STREQ(stage_trace_name(Stage::kModify), "stage:Modify");
+  EXPECT_STREQ(stage_trace_name(Stage::kOther), "stage:Other");
 }
 
 TEST(ScopedStage, RecordsElapsedTime) {
   StageTimer t;
   {
-    ScopedStage s(t, Stage::kPair);
+    obs::ScopedStage s(t, Stage::kPair);
     volatile double x = 0;
     for (int i = 0; i < 100000; ++i) x = x + i;
     (void)x;
