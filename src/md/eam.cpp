@@ -1,5 +1,6 @@
 #include "md/eam.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
@@ -174,6 +175,10 @@ void Eam::split_begin(Atoms& atoms, const NeighborList& list, bool newton,
   if (groups == nullptr) {
     throw std::invalid_argument("EAM split_begin: null ForceGroups");
   }
+  if (!groups->footprints_match(list, newton, atoms.ntotal())) {
+    throw std::invalid_argument(
+        "EAM split_begin: ForceGroups footprints not built for this list");
+  }
   satoms_ = &atoms;
   slist_ = &list;
   sgroups_ = groups;
@@ -183,11 +188,26 @@ void Eam::split_begin(Atoms& atoms, const NeighborList& list, bool newton,
   const auto n = static_cast<std::size_t>(atoms.ntotal());
   rho_.assign(n, 0.0);
   fp_.assign(n, 0.0);
+  // The joins leave every group buffer all-zero, so this only resizes
+  // (growth value-initializes to 0.0) — unless the last evaluation was
+  // abandoned before its final join, leaving the groups that ran dirty.
+  if (!clean_) {
+    for (auto& buf : grho_) std::fill(buf.begin(), buf.end(), 0.0);
+    for (auto& buf : gforce_) std::fill(buf.begin(), buf.end(), 0.0);
+  }
+  clean_ = false;
   grho_.resize(ng);
   gforce_.resize(ng);
   gpartial_.assign(ng, {});
-  for (auto& buf : grho_) buf.assign(n, 0.0);
-  for (auto& buf : gforce_) buf.assign(3 * n, 0.0);
+  // reserve() first: exact growth, where resize() alone would double.
+  for (auto& buf : grho_) {
+    buf.reserve(n);
+    buf.resize(n);
+  }
+  for (auto& buf : gforce_) {
+    buf.reserve(3 * n);
+    buf.resize(3 * n);
+  }
 }
 
 void Eam::split_group(int pass, int g) {
@@ -208,12 +228,12 @@ void Eam::split_join(int pass, GhostDataComm* ghost_comm) {
   if (pass == 0) {
     // Canonical density reduction, then the two mid-pair comms and the
     // embedding term — exactly the monolithic mid-section, with rho
-    // summed group-by-group in ascending mask order.
+    // summed group-by-group in ascending mask order, each group over
+    // its footprint (re-zeroing as it goes).
     const int nlocal = satoms_->nlocal();
-    const auto n = static_cast<std::size_t>(satoms_->ntotal());
     for (std::size_t gi = 0; gi < grho_.size(); ++gi) {
-      const double* buf = grho_[gi].data();
-      for (std::size_t k = 0; k < n; ++k) rho_[k] += buf[k];
+      drain_footprint<1>(sgroups_->footprint(static_cast<int>(gi)),
+                         grho_[gi].data(), rho_.data());
     }
     if (snewton_ && ghost_comm != nullptr) {
       ghost_comm->reverse_add(rho_.data());
@@ -229,13 +249,13 @@ void Eam::split_join(int pass, GhostDataComm* ghost_comm) {
     }
   } else if (pass == 1) {
     double* f = satoms_->f();
-    const auto n3 = static_cast<std::size_t>(3) * satoms_->ntotal();
     for (std::size_t gi = 0; gi < gforce_.size(); ++gi) {
-      const double* buf = gforce_[gi].data();
-      for (std::size_t k = 0; k < n3; ++k) f[k] += buf[k];
+      drain_footprint<3>(sgroups_->footprint(static_cast<int>(gi)),
+                         gforce_[gi].data(), f);
       stotal_.energy += gpartial_[gi].energy;
       stotal_.virial += gpartial_[gi].virial;
     }
+    clean_ = true;
   } else {
     throw std::logic_error("EAM split: pass out of range");
   }

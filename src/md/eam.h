@@ -73,10 +73,13 @@ class Eam final : public Potential {
   const NeighborList* slist_ = nullptr;
   const ForceGroups* sgroups_ = nullptr;
   bool snewton_ = true;
+  // Per-group buffers are all-zero between evaluations: the joins
+  // re-zero every footprint entry they drain.
   std::vector<std::vector<double>> grho_;    ///< per group, ntotal
   std::vector<std::vector<double>> gforce_;  ///< per group, 3*ntotal
   std::vector<ForceResult> gpartial_;
   ForceResult stotal_;
+  bool clean_ = true;  ///< group buffers all-zero (last final join ran)
 };
 
 }  // namespace lmp::md

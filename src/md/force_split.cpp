@@ -1,23 +1,28 @@
 #include "md/force_split.h"
 
 #include <algorithm>
-#include <array>
 #include <stdexcept>
 
 namespace lmp::md {
 
 ForceGroups ForceGroups::build(const Atoms& atoms, const geom::Box& sub,
                                double rc) {
-  if (rc <= 0) throw std::invalid_argument("ForceGroups: rc must be > 0");
   ForceGroups out;
-  out.nlocal = atoms.nlocal();
+  out.assign(atoms, sub, rc);
+  return out;
+}
+
+void ForceGroups::assign(const Atoms& atoms, const geom::Box& sub, double rc) {
+  if (rc <= 0) throw std::invalid_argument("ForceGroups: rc must be > 0");
+  nlocal = atoms.nlocal();
+  fp_built_ = false;
   const double* x = atoms.x();
 
   // 64 possible masks (each axis: none/low/high/both); bucket indices,
   // then emit non-empty buckets in ascending mask order. Ascending local
   // index within a bucket falls out of the forward scan.
-  std::array<std::vector<int>, 64> buckets;
-  for (int i = 0; i < out.nlocal; ++i) {
+  for (auto& b : buckets_) b.clear();
+  for (int i = 0; i < nlocal; ++i) {
     const double xi = x[3 * i], yi = x[3 * i + 1], zi = x[3 * i + 2];
     int mask = 0;
     if (xi < sub.lo.x + rc) mask |= kLowX;
@@ -26,13 +31,57 @@ ForceGroups ForceGroups::build(const Atoms& atoms, const geom::Box& sub,
     if (yi > sub.hi.y - rc) mask |= kHighY;
     if (zi < sub.lo.z + rc) mask |= kLowZ;
     if (zi > sub.hi.z - rc) mask |= kHighZ;
-    buckets[static_cast<std::size_t>(mask)].push_back(i);
+    buckets_[static_cast<std::size_t>(mask)].push_back(i);
   }
+  std::size_t ng = 0;
   for (int m = 0; m < 64; ++m) {
-    if (buckets[static_cast<std::size_t>(m)].empty()) continue;
-    out.groups.push_back({m, std::move(buckets[static_cast<std::size_t>(m)])});
+    const std::vector<int>& b = buckets_[static_cast<std::size_t>(m)];
+    if (b.empty()) continue;
+    if (ng == groups.size()) groups.emplace_back();
+    groups[ng].mask = m;
+    groups[ng].atoms.assign(b.begin(), b.end());
+    ++ng;
   }
-  return out;
+  groups.resize(ng);
+}
+
+void ForceGroups::build_footprints(const NeighborList& list, bool newton,
+                                   int ntotal) {
+  if (ntotal < nlocal) {
+    throw std::invalid_argument("ForceGroups: ntotal below nlocal");
+  }
+  fp_index_.clear();
+  fp_offsets_.clear();
+  fp_offsets_.push_back(0);
+  fp_stamp_.assign(static_cast<std::size_t>(ntotal), -1);
+  const bool partners = !list.full;
+  for (int g = 0; g < ngroups(); ++g) {
+    const std::size_t begin = fp_index_.size();
+    const auto visit = [&](int j) {
+      int& s = fp_stamp_[static_cast<std::size_t>(j)];
+      if (s == g) return;
+      s = g;
+      fp_index_.push_back(j);
+    };
+    const std::vector<int>& rows = groups[static_cast<std::size_t>(g)].atoms;
+    for (const int i : rows) visit(i);
+    // Exactly the partner writes of the kernels' half-list branch.
+    if (partners) {
+      for (const int i : rows) {
+        for (int k = list.offsets[i]; k < list.offsets[i + 1]; ++k) {
+          const int j = list.neigh[static_cast<std::size_t>(k)];
+          if (newton || j < nlocal) visit(j);
+        }
+      }
+    }
+    std::sort(fp_index_.begin() + static_cast<std::ptrdiff_t>(begin),
+              fp_index_.end());
+    fp_offsets_.push_back(static_cast<int>(fp_index_.size()));
+  }
+  fp_built_ = true;
+  fp_full_ = list.full;
+  fp_newton_ = newton;
+  fp_ntotal_ = ntotal;
 }
 
 bool group_reads_dir(int mask, int dx, int dy, int dz) {

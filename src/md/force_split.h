@@ -1,9 +1,12 @@
 #pragma once
 
+#include <array>
+#include <span>
 #include <vector>
 
 #include "geom/box.h"
 #include "md/atoms.h"
+#include "md/neighbor.h"
 
 namespace lmp::md {
 
@@ -47,8 +50,67 @@ struct ForceGroups {
   static ForceGroups build(const Atoms& atoms, const geom::Box& sub,
                            double rc);
 
+  /// build() in place: reuses the group and scratch storage of earlier
+  /// epochs, so a rebuild with a stable partition allocates nothing.
+  /// Drops the footprints; rebuild them for the epoch's list.
+  void assign(const Atoms& atoms, const geom::Box& sub, double rc);
+
+  /// Compute every group's *footprint*: the ascending distinct local and
+  /// ghost indices its rows write in the epoch's `list` — the rows
+  /// themselves, plus, on a half list, every partner j with
+  /// `newton || j < nlocal`. The split join reduces and re-zeroes only
+  /// these entries of each group's private buffer. `ntotal` is the
+  /// epoch's local + ghost count. Storage is kept across epochs.
+  void build_footprints(const NeighborList& list, bool newton, int ntotal);
+
+  /// Group `g`'s footprint (valid until the next assign/build_footprints).
+  std::span<const int> footprint(int g) const {
+    const auto gi = static_cast<std::size_t>(g);
+    const auto b = static_cast<std::size_t>(fp_offsets_[gi]);
+    const auto e = static_cast<std::size_t>(fp_offsets_[gi + 1]);
+    return {fp_index_.data() + b, e - b};
+  }
+
+  /// True when the footprints were built for a list of this kind, this
+  /// newton setting and this atom count — what a split evaluation over
+  /// (`list`, `newton`, `ntotal`) requires.
+  bool footprints_match(const NeighborList& list, bool newton,
+                        int ntotal) const {
+    return fp_built_ && fp_full_ == list.full && fp_newton_ == newton &&
+           fp_ntotal_ == ntotal;
+  }
+
   int ngroups() const { return static_cast<int>(groups.size()); }
+
+ private:
+  std::array<std::vector<int>, 64> buckets_;  ///< assign() scratch, by mask
+  std::vector<int> fp_index_;                 ///< footprints, concatenated
+  std::vector<int> fp_offsets_;               ///< ngroups + 1 bounds
+  std::vector<int> fp_stamp_;                 ///< dedup: last group per index
+  bool fp_built_ = false;
+  bool fp_full_ = false;
+  bool fp_newton_ = false;
+  int fp_ntotal_ = 0;
 };
+
+/// The sparse join step for one group: add the group's private buffer
+/// into `dst` at every footprint entry (W doubles per atom: 1 for a
+/// density, 3 for a force) in ascending index order, and set each entry
+/// back to 0.0. Entries outside the footprint are never written, so they
+/// stay 0.0 and the buffer is all-zero again afterwards. Skipping them
+/// drops only `+0.0` adds, which change no value a sum started at +0.0
+/// can reach, so this is bitwise the dense elementwise join.
+template <std::size_t W>
+inline void drain_footprint(std::span<const int> fp, double* buf,
+                            double* dst) {
+  for (const int a : fp) {
+    const std::size_t k = W * static_cast<std::size_t>(a);
+    for (std::size_t c = k; c < k + W; ++c) {
+      dst[c] += buf[c];
+      buf[c] = 0.0;
+    }
+  }
+}
 
 /// True when a group with band mask `mask` can have neighbor-list rows
 /// that reference ghosts imported from the direction (dx, dy, dz),

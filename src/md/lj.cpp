@@ -1,5 +1,6 @@
 #include "md/lj.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace lmp::md {
@@ -113,16 +114,30 @@ void LennardJones::split_begin(Atoms& atoms, const NeighborList& list,
   if (groups == nullptr) {
     throw std::invalid_argument("LJ split_begin: null ForceGroups");
   }
+  if (!groups->footprints_match(list, newton, atoms.ntotal())) {
+    throw std::invalid_argument(
+        "LJ split_begin: ForceGroups footprints not built for this list");
+  }
   satoms_ = &atoms;
   slist_ = &list;
   sgroups_ = groups;
   snewton_ = newton;
   stotal_ = {};
+  // The join leaves every buffer all-zero, so this only resizes (growth
+  // value-initializes to 0.0) — unless the last evaluation was abandoned
+  // before its join, leaving the groups that ran dirty.
+  if (!clean_) {
+    for (auto& buf : gforce_) std::fill(buf.begin(), buf.end(), 0.0);
+  }
+  clean_ = false;
   const auto ng = static_cast<std::size_t>(groups->ngroups());
   const auto n3 = static_cast<std::size_t>(3) * atoms.ntotal();
   gforce_.resize(ng);
   gpartial_.assign(ng, {});
-  for (auto& buf : gforce_) buf.assign(n3, 0.0);
+  for (auto& buf : gforce_) {
+    buf.reserve(n3);  // exact growth: resize() alone would double capacity
+    buf.resize(n3);
+  }
 }
 
 void LennardJones::split_group(int pass, int g) {
@@ -134,17 +149,18 @@ void LennardJones::split_group(int pass, int g) {
 
 void LennardJones::split_join(int pass, GhostDataComm*) {
   if (pass != 0) throw std::logic_error("LJ split: pass out of range");
-  // Canonical reduction: groups in ascending mask order, elementwise.
-  // This fixed order is the whole determinism argument — it never
-  // depends on which worker finished first.
+  // Canonical reduction: groups in ascending mask order, each over its
+  // footprint (the only entries it wrote), re-zeroing as it goes. This
+  // fixed order is the whole determinism argument — it never depends on
+  // which worker finished first.
   double* f = satoms_->f();
-  const auto n3 = static_cast<std::size_t>(3) * satoms_->ntotal();
   for (std::size_t gi = 0; gi < gforce_.size(); ++gi) {
-    const double* buf = gforce_[gi].data();
-    for (std::size_t k = 0; k < n3; ++k) f[k] += buf[k];
+    drain_footprint<3>(sgroups_->footprint(static_cast<int>(gi)),
+                       gforce_[gi].data(), f);
     stotal_.energy += gpartial_[gi].energy;
     stotal_.virial += gpartial_[gi].virial;
   }
+  clean_ = true;
 }
 
 ForceResult LennardJones::split_finish() { return stotal_; }

@@ -51,9 +51,12 @@ class LennardJones final : public Potential {
   const NeighborList* slist_ = nullptr;
   const ForceGroups* sgroups_ = nullptr;
   bool snewton_ = true;
-  std::vector<std::vector<double>> gforce_;  ///< per group, 3*ntotal
+  /// Per group, 3*ntotal; all-zero between evaluations (the join
+  /// re-zeroes every footprint entry it drains).
+  std::vector<std::vector<double>> gforce_;
   std::vector<ForceResult> gpartial_;
   ForceResult stotal_;
+  bool clean_ = true;  ///< gforce_ all-zero (last join completed)
 };
 
 }  // namespace lmp::md

@@ -54,9 +54,13 @@ class Potential {
   // Each split_group call writes only that group's private accumulation
   // buffer (never atoms.f()), so concurrent groups cannot race;
   // split_join reduces the buffers in ascending group order, a fixed
-  // arithmetic order. Both executors run this one sequence through the
-  // same DAG (barrier serially, async on a pool), so they are
-  // bitwise-identical by construction: scheduling decides only when a
+  // arithmetic order. Within a group the join visits only the group's
+  // footprint (ForceGroups::build_footprints, the entries its rows can
+  // write) and re-zeroes each entry it adds, so the buffers are all-zero
+  // between evaluations and split_begin need not clear them. Both
+  // executors run this one sequence through the same DAG (barrier
+  // serially, async on a pool), so they are bitwise-identical by
+  // construction: scheduling decides only when a
   // group runs, never the order of a sum. Interior groups (mask 0) read
   // no ghost data in pass 0 and may run before the forward exchange
   // completes; border groups may run as soon as every direction they
@@ -68,8 +72,11 @@ class Potential {
   /// then force, with the mid-pair comm inside split_join(0)).
   virtual int split_passes() const = 0;
 
-  /// Bind one evaluation's inputs and zero the per-group buffers.
-  /// `groups` must outlive the evaluation (rebuilt per neighbor epoch).
+  /// Bind one evaluation's inputs and size the per-group buffers.
+  /// `groups` must outlive the evaluation (rebuilt per neighbor epoch)
+  /// and carry footprints built for (`list`, `newton`, atoms.ntotal()).
+  /// An evaluation abandoned before its final split_join (a thrown task)
+  /// leaves buffers dirty; the next split_begin then zeroes them all.
   virtual void split_begin(Atoms& atoms, const NeighborList& list,
                            bool newton, const ForceGroups* groups) = 0;
 

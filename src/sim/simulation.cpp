@@ -449,8 +449,11 @@ class RankSim {
       // The band partition and the step DAG are functions of the
       // neighbor epoch: atoms keep their group until the next rebuild
       // (the list is frozen, so interior rows cannot grow ghost
-      // neighbors mid-epoch).
-      groups_ = md::ForceGroups::build(atoms_, sub_, rc_);
+      // neighbors mid-epoch). Each group's footprint — the entries the
+      // sparse join drains — is fixed by the same list. Both reuse the
+      // previous epoch's storage.
+      groups_.assign(atoms_, sub_, rc_);
+      groups_.build_footprints(list_, cfg.newton, atoms_.ntotal());
       build_step_graph();
     }
   }
