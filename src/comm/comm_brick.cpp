@@ -107,12 +107,6 @@ void CommBrick::setup() {
   transport_->setup(ctx_, plan_.max_payload_doubles());
 }
 
-std::array<int, 6> CommBrick::ghosts_per_channel() const {
-  std::array<int, 6> out{};
-  for (int c = 0; c < 6; ++c) out[static_cast<std::size_t>(c)] = plan_.ghost_count(c);
-  return out;
-}
-
 void CommBrick::borders() {
   md::Atoms& atoms = *ctx_.atoms;
   atoms.clear_ghosts();

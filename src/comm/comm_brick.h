@@ -89,9 +89,6 @@ class CommBrick final : public Comm {
   void forward(double* per_atom) override;
   void reverse_add(double* per_atom) override;
 
-  /// Ghost count received per channel (tests).
-  std::array<int, 6> ghosts_per_channel() const;
-
  private:
   static int side_of(int channel) { return channel % 2; }
 

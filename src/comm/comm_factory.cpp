@@ -43,9 +43,4 @@ std::string CommFactory::catalog() const {
   return out;
 }
 
-CommInstance CommFactory::build(const std::string& name,
-                                const CommBuildInputs& inputs) const {
-  return at(name).build(inputs);
-}
-
 }  // namespace lmp::comm

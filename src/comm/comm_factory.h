@@ -73,10 +73,6 @@ class CommFactory {
   /// "name1, name2, ..." — for error messages and usage strings.
   std::string catalog() const;
 
-  /// Convenience: at(name).build(inputs).
-  CommInstance build(const std::string& name,
-                     const CommBuildInputs& inputs) const;
-
  private:
   CommFactory() = default;
   std::map<std::string, CommVariantInfo> variants_;

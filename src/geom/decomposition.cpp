@@ -1,23 +1,9 @@
 #include "geom/decomposition.h"
 
-#include <cmath>
-#include <cstdlib>
 #include <limits>
 #include <stdexcept>
 
 namespace lmp::geom {
-
-NeighborClass classify(const Int3& offset) {
-  const int nz = (offset.x != 0) + (offset.y != 0) + (offset.z != 0);
-  switch (nz) {
-    case 1:
-      return NeighborClass::kFace;
-    case 2:
-      return NeighborClass::kEdge;
-    default:
-      return NeighborClass::kCorner;
-  }
-}
 
 bool in_half(const Int3& offset, HalfShell half) {
   // Lexicographic (z, y, x) ordering; the upper half receives ghosts.
@@ -72,34 +58,6 @@ int Decomposition::owner_of(const Vec3& p) const {
     if (c[d] >= grid_[d]) c[d] = grid_[d] - 1;  // hi-edge guard
   }
   return rank_of(c);
-}
-
-std::vector<Neighbor> Decomposition::neighbors(int rank, int shells) const {
-  if (shells < 1) throw std::invalid_argument("shells must be >= 1");
-  const Int3 me = coord_of(rank);
-  std::vector<Neighbor> out;
-  out.reserve(static_cast<std::size_t>(
-      (2 * shells + 1) * (2 * shells + 1) * (2 * shells + 1) - 1));
-  for (int dz = -shells; dz <= shells; ++dz) {
-    for (int dy = -shells; dy <= shells; ++dy) {
-      for (int dx = -shells; dx <= shells; ++dx) {
-        if (dx == 0 && dy == 0 && dz == 0) continue;
-        const Int3 off{dx, dy, dz};
-        out.push_back({off, rank_of(me + off),
-                       std::abs(dx) + std::abs(dy) + std::abs(dz)});
-      }
-    }
-  }
-  return out;
-}
-
-std::vector<Neighbor> Decomposition::half_neighbors(int rank, HalfShell half,
-                                                    int shells) const {
-  std::vector<Neighbor> out;
-  for (const Neighbor& n : neighbors(rank, shells)) {
-    if (in_half(n.offset, half)) out.push_back(n);
-  }
-  return out;
 }
 
 Int3 choose_grid(int nranks, const Vec3& extent) {

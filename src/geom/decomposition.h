@@ -1,7 +1,5 @@
 #pragma once
 
-#include <vector>
-
 #include "geom/box.h"
 #include "util/vec3.h"
 
@@ -9,19 +7,10 @@ namespace lmp::geom {
 
 using util::Int3;
 
-/// One neighbor of a sub-box in the rank grid.
-struct Neighbor {
-  Int3 offset;  ///< grid offset in {-shells..shells}^3 \ {0,0,0}
-  int rank;     ///< owning rank of that sub-box (periodic wrap)
-  int hops;     ///< |dx|+|dy|+|dz| — logical 3D-torus hop count (Table 1)
-};
-
 /// Message-size class of a neighbor in the ghost-region algebra.
 /// For a single shell: faces share an a*a*r slab, edges an a*r*r bar,
 /// corners an r^3 cube (paper Table 1).
 enum class NeighborClass { kFace, kEdge, kCorner };
-
-NeighborClass classify(const Int3& offset);
 
 /// Which halves of the neighbor stencil a rank exchanges with when
 /// Newton's 3rd law is on (paper Fig. 5): ghost atoms are *received* from
@@ -52,16 +41,6 @@ class Decomposition {
 
   /// Owner rank of a (wrapped) position.
   int owner_of(const Vec3& p) const;
-
-  /// All neighbors of `rank` within `shells` grid cells (26 for shells=1,
-  /// 124 for shells=2). Self-offsets that wrap back to `rank` are kept —
-  /// on tiny grids a rank can legitimately be its own periodic neighbor.
-  std::vector<Neighbor> neighbors(int rank, int shells = 1) const;
-
-  /// Half-stencil neighbors for Newton-on exchange (13 for shells=1,
-  /// 62 for shells=2).
-  std::vector<Neighbor> half_neighbors(int rank, HalfShell half,
-                                       int shells = 1) const;
 
  private:
   Int3 grid_;

@@ -38,11 +38,4 @@ Box FccLattice::box_for(int nx, int ny, int nz) const {
   return Box{{0.0, 0.0, 0.0}, {nx * cell, ny * cell, nz * cell}};
 }
 
-int FccLattice::cells_for_atoms(long natoms_min) {
-  if (natoms_min < 1) throw std::invalid_argument("natoms_min >= 1");
-  int n = 1;
-  while (4L * n * n * n < natoms_min) ++n;
-  return n;
-}
-
 }  // namespace lmp::geom

@@ -28,9 +28,6 @@ struct FccLattice {
 
   /// Box enclosing an nx*ny*nz block of cells at the origin.
   Box box_for(int nx, int ny, int nz) const;
-
-  /// Smallest cubic cell count n such that 4*n^3 >= natoms_min.
-  static int cells_for_atoms(long natoms_min);
 };
 
 }  // namespace lmp::geom

@@ -71,13 +71,6 @@ int Atoms::add_ghost(const Vec3& pos, std::int64_t tag) {
   return i;
 }
 
-int Atoms::add_ghost_slots(int n) {
-  check_capacity(ntotal() + n);
-  const int first = ntotal();
-  nghost_ += n;
-  return first;
-}
-
 void Atoms::zero_forces() {
   std::fill(f_.begin(), f_.begin() + static_cast<std::ptrdiff_t>(3) * ntotal(), 0.0);
 }

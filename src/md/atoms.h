@@ -50,10 +50,6 @@ class Atoms {
   /// ghosts (never needed by the paper's potentials).
   int add_ghost(const Vec3& pos, std::int64_t tag);
 
-  /// Reserve `n` ghost slots without writing positions yet — the RDMA
-  /// forward path writes them remotely. Returns the first index.
-  int add_ghost_slots(int n);
-
   // --- per-atom accessors ---------------------------------------------
   Vec3 pos(int i) const { return {x_[3 * i], x_[3 * i + 1], x_[3 * i + 2]}; }
   void set_pos(int i, const Vec3& p) {

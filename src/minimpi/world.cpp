@@ -12,7 +12,6 @@ World::World(int nranks) : nranks_(nranks) {
   red_d_.resize(static_cast<std::size_t>(nranks));
   red_i_.resize(static_cast<std::size_t>(nranks));
   red_b_.resize(static_cast<std::size_t>(nranks));
-  gather_.resize(static_cast<std::size_t>(nranks));
 }
 
 void World::throw_poisoned() const {
@@ -44,7 +43,6 @@ void World::send(int src, int dst, int tag, std::span<const std::byte> payload) 
     std::lock_guard lock(box.mu);
     box.queue.push_back({src, tag, {payload.begin(), payload.end()}});
   }
-  messages_.fetch_add(1, std::memory_order_relaxed);
   box.cv.notify_all();
 }
 
@@ -113,15 +111,6 @@ double World::allreduce_sum(int rank, double v) {
                                 red_d_);
 }
 
-double World::allreduce_max(int rank, double v) {
-  return allreduce_impl<double>(
-      rank, v,
-      [](const std::vector<double>& s) {
-        return *std::max_element(s.begin(), s.end());
-      },
-      red_d_);
-}
-
 std::int64_t World::allreduce_sum(int rank, std::int64_t v) {
   return allreduce_impl<std::int64_t>(rank, v,
                                       [](const std::vector<std::int64_t>& s) {
@@ -139,18 +128,6 @@ bool World::allreduce_lor(int rank, bool v) {
   for (int x : red_b_) any = any || (x != 0);
   barrier(rank);
   return any;
-}
-
-std::vector<double> World::allgather(int rank, double v) {
-  gather_[static_cast<std::size_t>(rank)] = v;
-  barrier(rank);
-  std::vector<double> out = gather_;
-  barrier(rank);
-  return out;
-}
-
-std::uint64_t World::message_count() const {
-  return messages_.load(std::memory_order_relaxed);
 }
 
 }  // namespace lmp::minimpi

@@ -57,17 +57,10 @@ class World {
 
   // --- reductions (all ranks must call with the same op sequence) -----
   double allreduce_sum(int rank, double v);
-  double allreduce_max(int rank, double v);
   std::int64_t allreduce_sum(int rank, std::int64_t v);
   /// Logical-or reduction — the EAM neighbor-rebuild check (`check yes`
   /// in Table 2): "did any atom on any rank move beyond half the skin?"
   bool allreduce_lor(int rank, bool v);
-
-  /// Gather doubles to every rank (small helper for thermo output).
-  std::vector<double> allgather(int rank, double v);
-
-  /// Messages sent so far (for tests).
-  std::uint64_t message_count() const;
 
   /// Poison the world: every blocked and every future send/recv/barrier/
   /// reduction throws PoisonedError naming `reason`. Used by the failover
@@ -109,9 +102,6 @@ class World {
   std::vector<double> red_d_;
   std::vector<std::int64_t> red_i_;
   std::vector<int> red_b_;
-  std::vector<double> gather_;
-
-  std::atomic<std::uint64_t> messages_{0};
 
   // Poison state.
   std::atomic<bool> poisoned_{false};

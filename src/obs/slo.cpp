@@ -53,12 +53,6 @@ void SloAccountant::set_policy(const std::string& tenant,
   policies_[tenant] = policy;
 }
 
-SloPolicy SloAccountant::policy_for(const std::string& tenant) const {
-  std::lock_guard<std::mutex> lk(mu_);
-  const auto it = policies_.find(tenant);
-  return it == policies_.end() ? default_policy_ : it->second;
-}
-
 SloAccountant::Tenant& SloAccountant::tenant_locked(const std::string& name) {
   auto it = tenants_.find(name);
   if (it == tenants_.end()) {

@@ -94,7 +94,6 @@ class SloAccountant {
                          std::size_t series_capacity = 1024);
 
   void set_policy(const std::string& tenant, const SloPolicy& policy);
-  SloPolicy policy_for(const std::string& tenant) const;
 
   // --- signal recording -------------------------------------------------
   void record_queue_wait(const std::string& tenant, std::int64_t t_ms,

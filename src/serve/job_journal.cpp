@@ -101,7 +101,8 @@ void JobJournal::open(const std::string& path) {
         comm::decode_frame(file.data() + off, file.size() - off);
     if (f.status == comm::FrameStatus::kNeedMore) {
       // A crash mid-append leaves exactly one partial record at the
-      // tail. Truncate it; everything before it is intact (CRC'd).
+      // tail. Drop it (compact() below rewrites the log without it);
+      // everything before it is intact (CRC'd).
       recovery_.torn_bytes = file.size() - off;
       break;
     }

@@ -832,12 +832,6 @@ std::vector<char> JobServer::handle_frames(const char* data, std::size_t len,
           encode_cancel_reply(out, cancel(req.job_id));
           break;
         }
-        case MsgType::kStats: {
-          WireReader r(f.payload, f.payload_len, "stats request");
-          r.expect_done();
-          encode_stats_reply(out, stats());
-          break;
-        }
         case MsgType::kStatsJson: {
           WireReader r(f.payload, f.payload_len, "stats-json request");
           r.expect_done();

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <type_traits>
 
 #include "util/table_printer.h"
 
@@ -10,12 +9,11 @@ namespace lmp::serve {
 
 namespace {
 
-/// Call `f(name, field)` for every ServeStats field, in declaration
-/// order: the one list the `stats` wire codec and format_server_table
-/// both walk, so neither can drop a field. `S` is ServeStats or const
-/// ServeStats.
-template <class S, class F>
-void for_each_field(S& s, F&& f) {
+/// Call `f(name, value)` for every ServeStats field, in declaration
+/// order: the one list format_server_table walks, so the table cannot
+/// drop a field.
+template <class F>
+void for_each_field(const ServeStats& s, F&& f) {
   f("submitted", s.submitted);
   f("admitted", s.admitted);
   f("rejected_queue_full", s.rejected_queue_full);
@@ -234,37 +232,6 @@ CancelReply decode_cancel_reply(const char* payload, std::size_t len) {
   m.job_id = r.u64();
   m.found = r.u8() != 0;
   m.state = to_job_state(r.u8());
-  r.expect_done();
-  return m;
-}
-
-void encode_stats(std::vector<char>& out) {
-  WireWriter w;
-  finish(out, MsgType::kStats, w);
-}
-
-void encode_stats_reply(std::vector<char>& out, const ServeStats& m) {
-  WireWriter w;
-  for_each_field(m, [&w](const char*, auto v) {
-    if constexpr (std::is_signed_v<decltype(v)>) {
-      w.i64(v);
-    } else {
-      w.u64(v);
-    }
-  });
-  finish(out, MsgType::kStatsReply, w);
-}
-
-ServeStats decode_stats_reply(const char* payload, std::size_t len) {
-  WireReader r(payload, len, "stats reply");
-  ServeStats m;
-  for_each_field(m, [&r](const char*, auto& v) {
-    if constexpr (std::is_signed_v<std::remove_reference_t<decltype(v)>>) {
-      v = r.i64();
-    } else {
-      v = r.u64();
-    }
-  });
   r.expect_done();
   return m;
 }

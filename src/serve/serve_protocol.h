@@ -81,7 +81,6 @@ class WireWriter {
   void u32(std::uint32_t v) { raw(&v, sizeof v); }
   void u64(std::uint64_t v) { raw(&v, sizeof v); }
   void i32(std::int32_t v) { raw(&v, sizeof v); }
-  void i64(std::int64_t v) { raw(&v, sizeof v); }
   void f64(double v) { raw(&v, sizeof v); }
   void str(const std::string& s) {
     u32(static_cast<std::uint32_t>(s.size()));
@@ -110,7 +109,6 @@ class WireReader {
   std::uint32_t u32() { return get<std::uint32_t>(); }
   std::uint64_t u64() { return get<std::uint64_t>(); }
   std::int32_t i32() { return get<std::int32_t>(); }
-  std::int64_t i64() { return get<std::int64_t>(); }
   double f64() { return get<double>(); }
   std::string str() {
     const std::uint32_t n = u32();
@@ -225,8 +223,6 @@ enum class MsgType : std::uint16_t {
   kChunksReply = 0x0106,
   kCancel = 0x0107,
   kCancelReply = 0x0108,
-  kStats = 0x0109,
-  kStatsReply = 0x010A,
   kStatsJson = 0x010B,       ///< one live-telemetry snapshot (JSON)
   kStatsJsonReply = 0x010C,
   kWatch = 0x010D,           ///< stream snapshots every interval_ms
@@ -331,10 +327,6 @@ CancelRequest decode_cancel(const char* payload, std::size_t len);
 
 void encode_cancel_reply(std::vector<char>& out, const CancelReply& m);
 CancelReply decode_cancel_reply(const char* payload, std::size_t len);
-
-void encode_stats(std::vector<char>& out);
-void encode_stats_reply(std::vector<char>& out, const ServeStats& m);
-ServeStats decode_stats_reply(const char* payload, std::size_t len);
 
 void encode_stats_json(std::vector<char>& out);
 void encode_stats_json_reply(std::vector<char>& out, const std::string& json);

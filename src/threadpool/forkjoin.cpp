@@ -1,6 +1,5 @@
 #include "threadpool/forkjoin.h"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace lmp::pool {
@@ -57,16 +56,6 @@ void ForkJoinPool::parallel(const std::function<void(int)>& fn) {
   fn(0);
   std::unique_lock lock(mu_);
   done_cv_.wait(lock, [&] { return remaining_ == 0; });
-}
-
-void ForkJoinPool::parallel_for(int total, const std::function<void(int)>& fn) {
-  if (total <= 0) return;
-  const int chunk = (total + nthreads_ - 1) / nthreads_;
-  parallel([&](int tid) {
-    const int lo = tid * chunk;
-    const int hi = std::min(total, lo + chunk);
-    for (int i = lo; i < hi; ++i) fn(i);
-  });
 }
 
 }  // namespace lmp::pool

@@ -14,8 +14,8 @@ namespace lmp::pool {
 /// implicit barrier. This reproduces the *structure* that makes OpenMP
 /// regions expensive for the paper's tiny per-step workloads — two OS
 /// wake/sleep transitions per region (5.8 us measured on A64FX versus
-/// 1.1 us for the spin pool). `bench/micro_overheads` measures both on
-/// the host and `perf::Calibration` carries the paper's constants.
+/// 1.1 us for the spin pool). `PoolOverheads` measures both on the host
+/// and `perf::Calibration` carries the paper's constants.
 class ForkJoinPool {
  public:
   explicit ForkJoinPool(int nthreads);
@@ -28,9 +28,6 @@ class ForkJoinPool {
 
   /// Run fn(tid) for tid in [0, nthreads) — an `omp parallel` region.
   void parallel(const std::function<void(int)>& fn);
-
-  /// Static-chunked `omp parallel for` over [0, total).
-  void parallel_for(int total, const std::function<void(int)>& fn);
 
  private:
   void worker_loop(int tid);

@@ -87,15 +87,7 @@ void SpinThreadPool::worker_loop(int tid) {
       per_worker_[static_cast<std::size_t>(tid)].wait->record(wait_ns);
     }
 
-    if (job_.dynamic) {
-      for (;;) {
-        const int i = job_.next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= job_.nwork) break;
-        (*job_.fn)(i);
-      }
-    } else if (tid < job_.nwork) {
-      (*job_.fn)(tid);
-    }
+    (*job_.fn)(tid);
     if (published != 0) {
       const auto ns = static_cast<std::uint64_t>(obs::now_ns() - run_t0);
       run_hist().record(ns);
@@ -113,15 +105,7 @@ void SpinThreadPool::run_generation() {
 
   // The caller is worker 0.
   const std::int64_t run_t0 = job_.publish_ns != 0 ? obs::now_ns() : 0;
-  if (job_.dynamic) {
-    for (;;) {
-      const int i = job_.next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= job_.nwork) break;
-      (*job_.fn)(i);
-    }
-  } else if (job_.nwork > 0) {
-    (*job_.fn)(0);
-  }
+  (*job_.fn)(0);
   if (job_.publish_ns != 0) {
     const auto ns = static_cast<std::uint64_t>(obs::now_ns() - run_t0);
     run_hist().record(ns);
@@ -134,19 +118,8 @@ void SpinThreadPool::run_generation() {
   }
 }
 
-void SpinThreadPool::parallel(int nwork, const std::function<void(int)>& fn) {
-  if (nwork <= 0) return;
-  job_.fn = &fn;
-  job_.next.store(0, std::memory_order_relaxed);
-  job_.nwork = nwork;
-  job_.dynamic = true;
-  run_generation();
-}
-
 void SpinThreadPool::parallel_static(const std::function<void(int)>& fn) {
   job_.fn = &fn;
-  job_.nwork = nthreads_;
-  job_.dynamic = false;
   run_generation();
 }
 

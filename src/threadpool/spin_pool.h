@@ -17,9 +17,9 @@ namespace lmp::pool {
 /// fork-join start/sync overhead (measured at 5.8 us on A64FX) dominates
 /// them, so the paper keeps a pool of persistently-spinning workers whose
 /// dispatch costs only 1.1 us. This class reproduces that design: workers
-/// busy-wait on a generation counter; `parallel(n, fn)` publishes a work
-/// descriptor, bumps the generation, takes part in the work itself, and
-/// spin-waits for the remaining-worker count to hit zero.
+/// busy-wait on a generation counter; `parallel_static(fn)` publishes a
+/// work descriptor, bumps the generation, takes part in the work itself,
+/// and spin-waits for the remaining-worker count to hit zero.
 ///
 /// Workers insert `yield` into the spin loop after a bounded number of
 /// polls so the pool stays live on hosts with fewer cores than threads.
@@ -35,14 +35,11 @@ class SpinThreadPool {
 
   int nthreads() const { return nthreads_; }
 
-  /// Execute fn(i) for i in [0, nwork). Work items are claimed with an
-  /// atomic counter, so uneven item costs self-balance. Returns when all
-  /// items are done. Not reentrant.
-  void parallel(int nwork, const std::function<void(int)>& fn);
-
-  /// Static variant: thread t runs fn(t) exactly once, t in [0, nthreads).
-  /// Used by the fine-grained comm layer where thread->message assignment
-  /// is decided by the load balancer, not by work stealing.
+  /// Thread t runs fn(t) exactly once, t in [0, nthreads); returns when
+  /// all have. The fine-grained comm layer decides thread->message
+  /// assignment with its load balancer, and the task graph's workers
+  /// claim DAG nodes themselves, so the pool never splits work. Not
+  /// reentrant.
   void parallel_static(const std::function<void(int)>& fn);
 
  private:
@@ -51,9 +48,6 @@ class SpinThreadPool {
 
   struct alignas(64) Job {
     const std::function<void(int)>* fn = nullptr;
-    std::atomic<int> next{0};
-    int nwork = 0;
-    bool dynamic = true;
     /// Publish timestamp (ns) when metrics are on, else 0. Workers use it
     /// to measure dispatch latency without their own gating decision.
     std::int64_t publish_ns = 0;

@@ -178,16 +178,6 @@ FabricSnapshot LinkTelemetry::snapshot() const {
   return s;
 }
 
-void LinkTelemetry::reset() {
-  std::lock_guard<std::mutex> lk(mu_);
-  links_.clear();
-  for (auto& t : tni_) t = {};
-  hops_.clear();
-  total_bytes_ = 0;
-  total_packets_ = 0;
-  puts_charged_ = 0;
-}
-
 std::string format_fabric_table(const Topology& topo, const FabricSnapshot& s,
                                 std::size_t top_k) {
   if (s.puts_charged == 0) return "";
@@ -254,17 +244,12 @@ void LiveFabricRegistry::detach(const LinkTelemetry* t) {
   const auto it = std::find(live_.begin(), live_.end(), t);
   if (it == live_.end()) return;
   live_.erase(it);
-  fold_locked(t->snapshot());
-}
-
-void LiveFabricRegistry::fold_locked(const FabricSnapshot& s) {
+  const FabricSnapshot s = t->snapshot();
   if (s.tnis.size() > retired_tnis_.size()) retired_tnis_.resize(s.tnis.size());
   for (std::size_t i = 0; i < s.tnis.size(); ++i) {
     retired_tnis_[i].bytes += s.tnis[i].bytes;
     retired_tnis_[i].packets += s.tnis[i].packets;
   }
-  retired_bytes_ += s.total_bytes;
-  retired_packets_ += s.total_packets;
 }
 
 std::vector<FabricTniStat> LiveFabricRegistry::tni_totals() const {
@@ -278,20 +263,6 @@ std::vector<FabricTniStat> LiveFabricRegistry::tni_totals() const {
       out[i].packets += s.tnis[i].packets;
     }
   }
-  return out;
-}
-
-std::uint64_t LiveFabricRegistry::total_bytes() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  std::uint64_t out = retired_bytes_;
-  for (const LinkTelemetry* t : live_) out += t->snapshot().total_bytes;
-  return out;
-}
-
-std::uint64_t LiveFabricRegistry::total_packets() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  std::uint64_t out = retired_packets_;
-  for (const LinkTelemetry* t : live_) out += t->snapshot().total_packets;
   return out;
 }
 

@@ -70,7 +70,6 @@ class LinkTelemetry {
               int copies = 1);
 
   FabricSnapshot snapshot() const;
-  void reset();
 
   const Topology& topology() const { return topo_; }
 
@@ -129,20 +128,13 @@ class LiveFabricRegistry {
   /// Monotonic per-TNI injection totals (index = TNI), sized to the
   /// widest fabric seen so far. Empty until any fabric carried traffic.
   std::vector<FabricTniStat> tni_totals() const;
-  /// Monotonic totals across all links of all fabrics, ever.
-  std::uint64_t total_bytes() const;
-  std::uint64_t total_packets() const;
   /// Fabrics currently alive (attached and not yet detached).
   std::size_t live_count() const;
 
  private:
-  void fold_locked(const FabricSnapshot& s);
-
   mutable std::mutex mu_;
   std::vector<const LinkTelemetry*> live_;
   std::vector<FabricTniStat> retired_tnis_;
-  std::uint64_t retired_bytes_ = 0;
-  std::uint64_t retired_packets_ = 0;
 };
 
 /// Render the link-utilization summary as the standard table layout:

@@ -387,23 +387,6 @@ void Network::put_piggyback(VcqId src_vcq, VcqId dst_vcq, std::uint64_t edata,
   if (mode == PutMode::kData) post_tcq(src, edata);
 }
 
-void Network::get(VcqId src_vcq, VcqId dst_vcq, Stadd remote_stadd,
-                  std::uint64_t remote_off, Stadd local_stadd,
-                  std::uint64_t local_off, std::uint64_t length) {
-  check_aborted();
-  Vcq& src = vcq_checked(src_vcq);
-  Vcq& dst = vcq_checked(dst_vcq);
-  check_route(src.proc, dst.proc);
-  const std::byte* from = window_checked(dst.proc, remote_stadd, remote_off,
-                                         length, "get source");
-  std::byte* to =
-      window_checked(src.proc, local_stadd, local_off, length, "get destination");
-  if (length > 0) std::memcpy(to, from, length);
-  stats_.puts.fetch_add(1, std::memory_order_relaxed);
-  stats_.bytes_put.fetch_add(length, std::memory_order_relaxed);
-  post_tcq(src, 0);
-}
-
 std::size_t Network::post_notice(Vcq& dst, const MrqEntry& entry,
                                  const FaultDecision& fault) {
   std::lock_guard lock(dst.mu);
@@ -509,15 +492,6 @@ MrqEntry Network::wait_mrq(VcqId id, std::chrono::milliseconds deadline) {
     }
     relax_poll(spin);
   }
-}
-
-void Network::reset_stats() {
-  stats_.puts = 0;
-  stats_.bytes_put = 0;
-  stats_.registrations = 0;
-  stats_.deregistrations = 0;
-  stats_.retransmit_puts = 0;
-  stats_.control_puts = 0;
 }
 
 }  // namespace lmp::tofu

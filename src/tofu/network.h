@@ -225,14 +225,6 @@ class Network {
   void put_piggyback(VcqId src_vcq, VcqId dst_vcq, std::uint64_t edata,
                      PutMode mode = PutMode::kData, std::uint64_t flow = 0);
 
-  /// RDMA get: copy from the remote region into the local region; posts a
-  /// TCQ entry locally when "complete" (no remote MRQ, as in TofuD gets).
-  /// Gets are not subject to fault injection (no user of the optimized
-  /// comm path issues them).
-  void get(VcqId src_vcq, VcqId dst_vcq, Stadd remote_stadd,
-           std::uint64_t remote_off, Stadd local_stadd, std::uint64_t local_off,
-           std::uint64_t length);
-
   // --- completion polling ----------------------------------------------
   /// Data-plane notices only; control messages are never returned here.
   std::optional<TcqEntry> poll_tcq(VcqId id);
@@ -251,7 +243,6 @@ class Network {
                     std::chrono::milliseconds deadline = kDefaultWaitDeadline);
 
   const NetworkStats& stats() const { return stats_; }
-  void reset_stats();
 
   /// Per-link / per-TNI transit accounting. Puts are charged only when
   /// `obs::metrics_enabled()`; a disabled run pays one branch per put.
@@ -360,7 +351,7 @@ class Network {
   int nvcqs_ = 0;
   std::unique_ptr<Vcq[]> vcqs_;  // id = (proc * tnis + tni) * cqs + cq
 
-  /// Permanent-fault gate shared by put/put_piggyback/get: advances the
+  /// Permanent-fault gate shared by put and put_piggyback: advances the
   /// injector's onset clock, then throws UnreachableError if the route
   /// is severed.
   void check_route(int src_proc, int dst_proc) const;

@@ -38,29 +38,10 @@ void RegisteredBuffer::release() {
   }
 }
 
-void RegisteredBuffer::grow(std::size_t new_bytes) {
-  if (!valid()) throw std::logic_error("grow on invalid buffer");
-  if (new_bytes <= storage_.size()) return;
-  Network& net = *net_;
-  const int proc = proc_;
-  net.dereg_mem(proc, stadd_);
-  storage_.resize(new_bytes);
-  stadd_ = net.reg_mem(proc, storage_.data(), storage_.size());
-}
-
 VcqId UtofuContext::create_vcq(int tni, int cq) {
   const VcqId id = net_->create_vcq(proc_, tni, cq);
   owned_.push_back(id);
   return id;
-}
-
-std::vector<VcqId> UtofuContext::create_vcq_per_tni(int cq_row) {
-  std::vector<VcqId> ids;
-  ids.reserve(static_cast<std::size_t>(net_->tnis()));
-  for (int t = 0; t < net_->tnis(); ++t) {
-    ids.push_back(create_vcq(t, cq_row));
-  }
-  return ids;
 }
 
 UtofuContext::~UtofuContext() {

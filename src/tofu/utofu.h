@@ -29,10 +29,6 @@ class RegisteredBuffer {
   Stadd stadd() const { return stadd_; }
   bool valid() const { return net_ != nullptr; }
 
-  /// Grow the buffer (re-registers — this is the *expensive* path the
-  /// pre-registration optimization avoids; the dynamic baseline uses it).
-  void grow(std::size_t new_bytes);
-
   double* as_doubles() { return reinterpret_cast<double*>(storage_.data()); }
   const double* as_doubles() const {
     return reinterpret_cast<const double*>(storage_.data());
@@ -60,10 +56,6 @@ class UtofuContext {
 
   /// Create and remember a VCQ on (tni, cq); freed on destruction.
   VcqId create_vcq(int tni, int cq);
-
-  /// Create one VCQ per TNI on CQ row `cq_row` — the fine-grained layout
-  /// of Fig. 7 where rank r owns CQ_r of every TNI.
-  std::vector<VcqId> create_vcq_per_tni(int cq_row);
 
   RegisteredBuffer make_buffer(std::size_t bytes) {
     return RegisteredBuffer(*net_, proc_, bytes);

@@ -183,31 +183,6 @@ void AppendLog::append(const void* data, std::size_t len, bool sync) {
   size_ += len;
 }
 
-void AppendLog::truncate_to(std::uint64_t offset) {
-  if (!is_open()) throw std::runtime_error("durable_file: truncate on closed log");
-  if (offset >= size_) return;
-#ifdef LMP_HAVE_FSYNC
-  if (::ftruncate(fd_, static_cast<::off_t>(offset)) != 0) {
-    io_fail("truncate", path_);
-  }
-  fsync_fd(fd_, path_);
-#else
-  // Portable fallback: rewrite the prefix.
-  std::FILE* in = std::fopen(path_.c_str(), "rb");
-  if (!in) io_fail("open", path_);
-  std::string keep(offset, '\0');
-  const std::size_t got = std::fread(keep.data(), 1, offset, in);
-  std::fclose(in);
-  if (got != offset) io_fail("read", path_);
-  std::FILE* out = std::fopen(path_.c_str(), "wb");
-  if (!out) io_fail("open", path_);
-  const bool ok =
-      std::fwrite(keep.data(), 1, offset, out) == offset && std::fclose(out) == 0;
-  if (!ok) io_fail("truncate", path_);
-#endif
-  size_ = offset;
-}
-
 void AppendLog::close() {
 #ifdef LMP_HAVE_FSYNC
   if (fd_ >= 0) ::close(fd_);

@@ -41,9 +41,9 @@ void fsync_parent_dir(const std::string& path);
 /// Append-only log file with per-record durability — the substrate of
 /// the job journal. open() creates the file if missing (and fsyncs the
 /// parent directory so the empty log itself survives); append() writes
-/// at the end and optionally fsyncs; truncate_to() chops a torn tail
-/// found during recovery. All methods throw std::runtime_error on I/O
-/// failure.
+/// at the end and optionally fsyncs. A torn tail found during recovery
+/// is dropped by rewriting the log durably, not by truncating it. All
+/// methods throw std::runtime_error on I/O failure.
 class AppendLog {
  public:
   AppendLog() = default;
@@ -54,7 +54,6 @@ class AppendLog {
   void open(const std::string& path);
   bool is_open() const { return fd_ >= 0; }
   void append(const void* data, std::size_t len, bool sync);
-  void truncate_to(std::uint64_t offset);
   std::uint64_t size() const { return size_; }
   const std::string& path() const { return path_; }
   void close();

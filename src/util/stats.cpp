@@ -7,28 +7,6 @@
 
 namespace lmp::util {
 
-void RunningStats::add(double x) {
-  if (std::isnan(x)) {
-    throw std::invalid_argument("RunningStats: NaN sample rejected");
-  }
-  if (n_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++n_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
-double RunningStats::variance() const {
-  return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-}
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
-
 double percentile(std::span<const double> xs, double p) {
   if (xs.empty()) throw std::invalid_argument("percentile of empty sample");
   if (std::isnan(p) || p < 0.0 || p > 100.0) {

@@ -5,26 +5,6 @@
 
 namespace lmp::util {
 
-/// Streaming mean/variance accumulator (Welford).
-class RunningStats {
- public:
-  void add(double x);
-  std::size_t count() const { return n_; }
-  double mean() const { return mean_; }
-  /// Sample variance (n-1 denominator); 0 for fewer than 2 samples.
-  double variance() const;
-  double stddev() const;
-  double min() const { return min_; }
-  double max() const { return max_; }
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
-
 /// Percentile of a sample set (linear interpolation between order stats).
 /// `p` must be in [0, 100]; throws std::invalid_argument otherwise, on an
 /// empty sample, or when `p` or any sample is NaN. The input span is

@@ -48,14 +48,6 @@ TEST(Atoms, AddLocalWhileGhostsExistThrows) {
   EXPECT_THROW(a.add_local({0, 0, 0}, {0, 0, 0}, 2), std::logic_error);
 }
 
-TEST(Atoms, GhostSlotsReserveRange) {
-  Atoms a = make_atoms(2);
-  const int first = a.add_ghost_slots(5);
-  EXPECT_EQ(first, 2);
-  EXPECT_EQ(a.nghost(), 5);
-  EXPECT_THROW(a.add_ghost_slots(1000), std::length_error);
-}
-
 TEST(Atoms, RemoveLocalsCompactsInOrder) {
   Atoms a = make_atoms(5);
   const std::vector<int> gone{1, 3};

@@ -66,48 +66,6 @@ TEST(Decomposition, OwnerOfWrapsOutsidePoints) {
   EXPECT_EQ(d.owner_of({-1, 5, 5}), d.owner_of({11, 5, 5}));
 }
 
-TEST(Decomposition, Neighbors26) {
-  const Decomposition d = make({4, 4, 4});
-  const auto n = d.neighbors(0);
-  EXPECT_EQ(n.size(), 26u);
-}
-
-TEST(Decomposition, NeighborsTwoShells124) {
-  const Decomposition d = make({5, 5, 5});
-  EXPECT_EQ(d.neighbors(0, 2).size(), 124u);
-}
-
-TEST(Decomposition, HalfNeighbors13And62) {
-  const Decomposition d = make({5, 5, 5});
-  EXPECT_EQ(d.half_neighbors(0, HalfShell::kUpper).size(), 13u);
-  EXPECT_EQ(d.half_neighbors(0, HalfShell::kLower).size(), 13u);
-  EXPECT_EQ(d.half_neighbors(0, HalfShell::kUpper, 2).size(), 62u);
-}
-
-TEST(Decomposition, HalvesPartitionTheShell) {
-  const Decomposition d = make({4, 4, 4});
-  for (const Neighbor& n : d.neighbors(7)) {
-    EXPECT_NE(in_half(n.offset, HalfShell::kUpper),
-              in_half(n.offset, HalfShell::kLower));
-  }
-}
-
-TEST(Decomposition, HopsAreManhattan) {
-  const Decomposition d = make({4, 4, 4});
-  for (const Neighbor& n : d.neighbors(0)) {
-    EXPECT_EQ(n.hops, std::abs(n.offset.x) + std::abs(n.offset.y) +
-                          std::abs(n.offset.z));
-    EXPECT_GE(n.hops, 1);
-    EXPECT_LE(n.hops, 3);
-  }
-}
-
-TEST(Classify, FaceEdgeCorner) {
-  EXPECT_EQ(classify({1, 0, 0}), NeighborClass::kFace);
-  EXPECT_EQ(classify({1, -1, 0}), NeighborClass::kEdge);
-  EXPECT_EQ(classify({1, 1, -1}), NeighborClass::kCorner);
-}
-
 TEST(ChooseGrid, CubicForCube) {
   EXPECT_EQ(choose_grid(8, {1, 1, 1}), (util::Int3{2, 2, 2}));
   EXPECT_EQ(choose_grid(27, {1, 1, 1}), (util::Int3{3, 3, 3}));
@@ -132,7 +90,6 @@ TEST(Decomposition, InvalidInputsThrow) {
   const Decomposition d = make({2, 2, 2});
   EXPECT_THROW(d.coord_of(8), std::out_of_range);
   EXPECT_THROW(d.coord_of(-1), std::out_of_range);
-  EXPECT_THROW(d.neighbors(0, 0), std::invalid_argument);
   EXPECT_THROW(choose_grid(0, {1, 1, 1}), std::invalid_argument);
 }
 

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <random>
 #include <sstream>
 #include <string>
@@ -165,37 +166,6 @@ TEST(ServeProtocol, RepliesRoundTrip) {
   cr.terminal = true;
   encode_chunks_reply(buf, cr);
 
-  // Every field distinct and nonzero, so a field the codec drops or
-  // swaps cannot round-trip by accident.
-  ServeStats st;
-  st.submitted = 1;
-  st.admitted = 2;
-  st.rejected_queue_full = 3;
-  st.rejected_quota = 4;
-  st.rejected_bad_script = 5;
-  st.rejected_shutdown = 6;
-  st.duplicate_submits = 7;
-  st.retries = 8;
-  st.deadline_missed = 9;
-  st.completed = 10;
-  st.failed = 11;
-  st.cancelled = 12;
-  st.recovered = 13;
-  st.journal_torn_bytes = 14;
-  st.integrity_checks = 15;
-  st.integrity_detections = 16;
-  st.integrity_rollbacks = 17;
-  st.mem_flips_injected = 18;
-  st.queue_depth = 19;
-  st.queue_depth_peak = 20;
-  st.running = 21;
-  st.slo_breaches = 22;
-  st.heap_live_bytes = 23;
-  st.heap_high_water_bytes = 24;
-  st.rss_bytes = 25;
-  st.total_allocs = 26;
-  encode_stats_reply(buf, st);
-
   std::size_t off = 0;
   comm::FrameView f = comm::decode_frame(buf.data(), buf.size());
   ASSERT_TRUE(f.ok());
@@ -220,38 +190,65 @@ TEST(ServeProtocol, RepliesRoundTrip) {
   ASSERT_EQ(cr2.chunks.size(), 2u);
   EXPECT_EQ(cr2.chunks[1], "bb\n");
   EXPECT_TRUE(cr2.terminal);
-  off += f.consumed;
-
-  f = comm::decode_frame(buf.data() + off, buf.size() - off);
-  ASSERT_TRUE(f.ok());
-  const ServeStats st2 = decode_stats_reply(f.payload, f.payload_len);
-  EXPECT_EQ(st2.submitted, st.submitted);
-  EXPECT_EQ(st2.admitted, st.admitted);
-  EXPECT_EQ(st2.rejected_queue_full, st.rejected_queue_full);
-  EXPECT_EQ(st2.rejected_quota, st.rejected_quota);
-  EXPECT_EQ(st2.rejected_bad_script, st.rejected_bad_script);
-  EXPECT_EQ(st2.rejected_shutdown, st.rejected_shutdown);
-  EXPECT_EQ(st2.duplicate_submits, st.duplicate_submits);
-  EXPECT_EQ(st2.retries, st.retries);
-  EXPECT_EQ(st2.deadline_missed, st.deadline_missed);
-  EXPECT_EQ(st2.completed, st.completed);
-  EXPECT_EQ(st2.failed, st.failed);
-  EXPECT_EQ(st2.cancelled, st.cancelled);
-  EXPECT_EQ(st2.recovered, st.recovered);
-  EXPECT_EQ(st2.journal_torn_bytes, st.journal_torn_bytes);
-  EXPECT_EQ(st2.integrity_checks, st.integrity_checks);
-  EXPECT_EQ(st2.integrity_detections, st.integrity_detections);
-  EXPECT_EQ(st2.integrity_rollbacks, st.integrity_rollbacks);
-  EXPECT_EQ(st2.mem_flips_injected, st.mem_flips_injected);
-  EXPECT_EQ(st2.queue_depth, st.queue_depth);
-  EXPECT_EQ(st2.queue_depth_peak, st.queue_depth_peak);
-  EXPECT_EQ(st2.running, st.running);
-  EXPECT_EQ(st2.slo_breaches, st.slo_breaches);
-  EXPECT_EQ(st2.heap_live_bytes, st.heap_live_bytes);
-  EXPECT_EQ(st2.heap_high_water_bytes, st.heap_high_water_bytes);
-  EXPECT_EQ(st2.rss_bytes, st.rss_bytes);
-  EXPECT_EQ(st2.total_allocs, st.total_allocs);
   EXPECT_EQ(off + f.consumed, buf.size());
+}
+
+TEST(ServeProtocol, ServerTableListsEveryField) {
+  // Every field distinct and nonzero, so a field the table drops or
+  // swaps cannot show its value by accident. Adding a ServeStats field
+  // breaks the size check until it is listed here too.
+  static_assert(sizeof(ServeStats) == 26 * sizeof(std::uint64_t));
+  ServeStats st;
+  const std::vector<std::pair<std::string, std::int64_t>> want{
+      {"submitted", st.submitted = 1},
+      {"admitted", st.admitted = 2},
+      {"rejected_queue_full", st.rejected_queue_full = 3},
+      {"rejected_quota", st.rejected_quota = 4},
+      {"rejected_bad_script", st.rejected_bad_script = 5},
+      {"rejected_shutdown", st.rejected_shutdown = 6},
+      {"duplicate_submits", st.duplicate_submits = 7},
+      {"retries", st.retries = 8},
+      {"deadline_missed", st.deadline_missed = 9},
+      {"completed", st.completed = 10},
+      {"failed", st.failed = 11},
+      {"cancelled", st.cancelled = 12},
+      {"recovered", st.recovered = 13},
+      {"journal_torn_bytes", st.journal_torn_bytes = 14},
+      {"integrity_checks", st.integrity_checks = 15},
+      {"integrity_detections", st.integrity_detections = 16},
+      {"integrity_rollbacks", st.integrity_rollbacks = 17},
+      {"mem_flips_injected", st.mem_flips_injected = 18},
+      {"queue_depth", st.queue_depth = 19},
+      {"queue_depth_peak", st.queue_depth_peak = 20},
+      {"running", st.running = 21},
+      {"slo_breaches", st.slo_breaches = 22},
+      {"heap_live_bytes", st.heap_live_bytes = 23},
+      {"heap_high_water_bytes", st.heap_high_water_bytes = 24},
+      {"rss_bytes", st.rss_bytes = 25},
+      {"total_allocs", st.total_allocs = 26},
+  };
+
+  // Data rows are "| name | value |", below a header row and a dashed
+  // rule.
+  std::map<std::string, std::vector<std::string>> rows;
+  std::istringstream table(format_server_table(st));
+  for (std::string line; std::getline(table, line);) {
+    std::vector<std::string> cells;
+    std::istringstream cols(line);
+    for (std::string cell; std::getline(cols, cell, '|');) {
+      std::istringstream words(cell);
+      std::string word;
+      if (words >> word) cells.push_back(word);
+    }
+    if (cells.size() == 2 && cells[0] != "server" && cells[0][0] != '-') {
+      rows[cells[0]].push_back(cells[1]);
+    }
+  }
+  EXPECT_EQ(rows.size(), want.size());
+  for (const auto& [name, value] : want) {
+    EXPECT_EQ(rows[name], std::vector<std::string>{std::to_string(value)})
+        << name;
+  }
 }
 
 TEST(ServeProtocol, ForgedChunkCountRejectedWithoutHugeAllocation) {
@@ -555,7 +552,11 @@ TEST(JobServer, HandleFramesEndpointAnswersAndSurvivesGarbage) {
 
   std::vector<char> in;
   encode_submit(in, make_submit("acme", "wire", melt_script(10)));
-  encode_stats(in);
+  encode_stats_json(in);
+  // Cancelling an id the server never issued answers found == false.
+  CancelRequest unknown;
+  unknown.job_id = 999999;
+  encode_cancel(in, unknown);
   // A submit frame whose payload is garbage for the declared type.
   comm::append_frame(in, static_cast<std::uint16_t>(MsgType::kSubmit), "xx", 2);
   // An unknown frame type.
@@ -576,7 +577,18 @@ TEST(JobServer, HandleFramesEndpointAnswersAndSurvivesGarbage) {
 
   f = comm::decode_frame(out.data() + off, out.size() - off);
   ASSERT_TRUE(f.ok());
-  EXPECT_EQ(static_cast<MsgType>(f.type), MsgType::kStatsReply);
+  ASSERT_EQ(static_cast<MsgType>(f.type), MsgType::kStatsJsonReply);
+  EXPECT_NE(decode_stats_json_reply(f.payload, f.payload_len)
+                .find("lmp-telemetry-snapshot"),
+            std::string::npos);
+  off += f.consumed;
+
+  f = comm::decode_frame(out.data() + off, out.size() - off);
+  ASSERT_TRUE(f.ok());
+  ASSERT_EQ(static_cast<MsgType>(f.type), MsgType::kCancelReply);
+  const CancelReply cancel = decode_cancel_reply(f.payload, f.payload_len);
+  EXPECT_EQ(cancel.job_id, 999999u);
+  EXPECT_FALSE(cancel.found);
   off += f.consumed;
 
   f = comm::decode_frame(out.data() + off, out.size() - off);

@@ -47,20 +47,11 @@ TEST(FccLattice, NearestNeighborDistance) {
   EXPECT_NEAR(std::sqrt(min_d2), 3.615 / std::sqrt(2.0), 1e-9);
 }
 
-TEST(FccLattice, CellsForAtoms) {
-  EXPECT_EQ(FccLattice::cells_for_atoms(1), 1);
-  EXPECT_EQ(FccLattice::cells_for_atoms(4), 1);
-  EXPECT_EQ(FccLattice::cells_for_atoms(5), 2);
-  EXPECT_EQ(FccLattice::cells_for_atoms(32), 2);
-  EXPECT_EQ(FccLattice::cells_for_atoms(33), 3);
-}
-
 TEST(FccLattice, InvalidArgsThrow) {
   EXPECT_THROW(FccLattice::from_density(0.0), std::invalid_argument);
   EXPECT_THROW(FccLattice::from_constant(-1.0), std::invalid_argument);
   const FccLattice l = FccLattice::from_constant(1.0);
   EXPECT_THROW(l.generate(0, 1, 1), std::invalid_argument);
-  EXPECT_THROW(FccLattice::cells_for_atoms(0), std::invalid_argument);
 }
 
 TEST(FccLattice, NoDuplicatePositions) {

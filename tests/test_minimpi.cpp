@@ -109,13 +109,6 @@ TEST(World, AllreduceRepeatedRounds) {
   });
 }
 
-TEST(World, AllreduceMax) {
-  World w(3);
-  run_ranks(3, [&](int rank) {
-    EXPECT_DOUBLE_EQ(w.allreduce_max(rank, static_cast<double>(rank * rank)), 4.0);
-  });
-}
-
 TEST(World, AllreduceInt64Sum) {
   World w(4);
   run_ranks(4, [&](int rank) {
@@ -129,23 +122,6 @@ TEST(World, AllreduceLogicalOr) {
     EXPECT_TRUE(w.allreduce_lor(rank, rank == 2));
     EXPECT_FALSE(w.allreduce_lor(rank, false));
   });
-}
-
-TEST(World, Allgather) {
-  World w(3);
-  run_ranks(3, [&](int rank) {
-    const auto v = w.allgather(rank, rank * 1.5);
-    ASSERT_EQ(v.size(), 3u);
-    for (int i = 0; i < 3; ++i) EXPECT_DOUBLE_EQ(v[static_cast<std::size_t>(i)], i * 1.5);
-  });
-}
-
-TEST(World, MessageCount) {
-  World w(1);
-  EXPECT_EQ(w.message_count(), 0u);
-  w.send(0, 0, 0, bytes_of(1.0));
-  w.send(0, 0, 1, bytes_of(1.0));
-  EXPECT_EQ(w.message_count(), 2u);
 }
 
 TEST(World, InvalidConstruction) {

@@ -71,7 +71,8 @@ TEST(PackKernels, PositionsRoundTripIntoGhostBlock) {
   md::Atoms dst;
   dst.reserve_capacity(8);
   dst.add_local({0, 0, 0}, {}, 1);
-  const int start = dst.add_ghost_slots(2);
+  const int start = dst.add_ghost({}, 2);
+  dst.add_ghost({}, 3);
   unpack_positions(dst.x(), start, buf);
   EXPECT_EQ(dst.pos(start), (util::Vec3{4.0, 5.0, 11.0}));
   EXPECT_EQ(dst.pos(start + 1), (util::Vec3{7.0, 8.0, 14.0}));

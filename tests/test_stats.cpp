@@ -8,52 +8,6 @@
 namespace lmp::util {
 namespace {
 
-TEST(RunningStats, MeanAndVariance) {
-  RunningStats s;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
-  EXPECT_EQ(s.count(), 8u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12);
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-}
-
-TEST(RunningStats, SingleSampleHasZeroVariance) {
-  RunningStats s;
-  s.add(3.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-  EXPECT_DOUBLE_EQ(s.stddev(), 0.0);
-}
-
-TEST(RunningStats, EmptyAccumulatorIsAllZeros) {
-  const RunningStats s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-  EXPECT_DOUBLE_EQ(s.stddev(), 0.0);
-  EXPECT_DOUBLE_EQ(s.min(), 0.0);
-  EXPECT_DOUBLE_EQ(s.max(), 0.0);
-}
-
-TEST(RunningStats, SingleSampleIsMinMeanAndMax) {
-  RunningStats s;
-  s.add(-7.5);
-  EXPECT_EQ(s.count(), 1u);
-  EXPECT_DOUBLE_EQ(s.mean(), -7.5);
-  EXPECT_DOUBLE_EQ(s.min(), -7.5);
-  EXPECT_DOUBLE_EQ(s.max(), -7.5);
-}
-
-TEST(RunningStats, NanSampleRejected) {
-  RunningStats s;
-  s.add(1.0);
-  EXPECT_THROW(s.add(std::numeric_limits<double>::quiet_NaN()),
-               std::invalid_argument);
-  // The rejected sample must not have corrupted the accumulator.
-  EXPECT_EQ(s.count(), 1u);
-  EXPECT_DOUBLE_EQ(s.mean(), 1.0);
-}
-
 TEST(Percentile, MedianOfOddSet) {
   const std::vector<double> xs{5, 1, 3};
   EXPECT_DOUBLE_EQ(percentile(xs, 50), 3.0);

@@ -13,27 +13,13 @@
 namespace lmp::pool {
 namespace {
 
-TEST(SpinThreadPool, ParallelCoversAllWorkExactlyOnce) {
-  SpinThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(100);
-  pool.parallel(100, [&](int i) { hits[static_cast<std::size_t>(i)]++; });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(SpinThreadPool, ParallelSum) {
-  SpinThreadPool pool(3);
-  std::atomic<long> sum{0};
-  pool.parallel(1000, [&](int i) { sum += i; });
-  EXPECT_EQ(sum.load(), 999L * 1000 / 2);
-}
-
 TEST(SpinThreadPool, ReusableAcrossManyGenerations) {
   SpinThreadPool pool(4);
   std::atomic<int> total{0};
   for (int round = 0; round < 200; ++round) {
-    pool.parallel(8, [&](int) { total++; });
+    pool.parallel_static([&](int) { total++; });
   }
-  EXPECT_EQ(total.load(), 1600);
+  EXPECT_EQ(total.load(), 800);
 }
 
 TEST(SpinThreadPool, StaticRunsEachThreadOnce) {
@@ -54,31 +40,15 @@ TEST(SpinThreadPool, StaticThreadIdsDistinct) {
 TEST(SpinThreadPool, SingleThreadPoolWorks) {
   SpinThreadPool pool(1);
   std::atomic<int> n{0};
-  pool.parallel(10, [&](int) { n++; });
-  EXPECT_EQ(n.load(), 10);
-  pool.parallel_static([&](int t) { EXPECT_EQ(t, 0); });
-}
-
-TEST(SpinThreadPool, EmptyWorkIsNoop) {
-  SpinThreadPool pool(2);
-  pool.parallel(0, [&](int) { FAIL(); });
+  pool.parallel_static([&](int t) {
+    EXPECT_EQ(t, 0);
+    n++;
+  });
+  EXPECT_EQ(n.load(), 1);
 }
 
 TEST(SpinThreadPool, InvalidSizeThrows) {
   EXPECT_THROW(SpinThreadPool(0), std::invalid_argument);
-}
-
-TEST(SpinThreadPool, UnbalancedItemsSelfBalance) {
-  SpinThreadPool pool(4);
-  std::atomic<long> sum{0};
-  pool.parallel(64, [&](int i) {
-    // Item cost varies wildly; dynamic claiming must still finish.
-    volatile long x = 0;
-    for (int k = 0; k < i * 1000; ++k) x = x + k;
-    sum += i;
-    (void)x;
-  });
-  EXPECT_EQ(sum.load(), 63L * 64 / 2);
 }
 
 TEST(ForkJoinPool, ParallelRunsAllThreads) {
@@ -86,13 +56,6 @@ TEST(ForkJoinPool, ParallelRunsAllThreads) {
   std::vector<std::atomic<int>> per_thread(4);
   pool.parallel([&](int t) { per_thread[static_cast<std::size_t>(t)]++; });
   for (const auto& c : per_thread) EXPECT_EQ(c.load(), 1);
-}
-
-TEST(ForkJoinPool, ParallelForCoversRange) {
-  ForkJoinPool pool(3);
-  std::vector<std::atomic<int>> hits(50);
-  pool.parallel_for(50, [&](int i) { hits[static_cast<std::size_t>(i)]++; });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(ForkJoinPool, RepeatedRegions) {
@@ -110,11 +73,6 @@ TEST(ForkJoinPool, SingleThreadInline) {
     n++;
   });
   EXPECT_EQ(n.load(), 1);
-}
-
-TEST(ForkJoinPool, EmptyRangeNoop) {
-  ForkJoinPool pool(2);
-  pool.parallel_for(0, [&](int) { FAIL(); });
 }
 
 TEST(ForkJoinPool, InvalidSizeThrows) {

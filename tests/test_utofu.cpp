@@ -38,34 +38,9 @@ TEST(RegisteredBuffer, MoveAssignReleasesOld) {
   EXPECT_EQ(net.stats().deregistrations.load(), 1u);
 }
 
-TEST(RegisteredBuffer, GrowReRegisters) {
-  Network net(1);
-  RegisteredBuffer buf(net, 0, 64);
-  const Stadd old = buf.stadd();
-  buf.grow(256);
-  EXPECT_EQ(buf.size(), 256u);
-  EXPECT_NE(buf.stadd(), old);  // re-registration: the expensive path
-  EXPECT_EQ(net.stats().registrations.load(), 2u);
-  // Shrinking or same size is a no-op.
-  const Stadd cur = buf.stadd();
-  buf.grow(128);
-  EXPECT_EQ(buf.stadd(), cur);
-}
-
 TEST(RegisteredBuffer, ZeroSizeThrows) {
   Network net(1);
   EXPECT_THROW(RegisteredBuffer(net, 0, 0), std::invalid_argument);
-}
-
-TEST(UtofuContext, CreatesVcqPerTni) {
-  Network net(1);
-  UtofuContext ctx(net, 0);
-  const auto vcqs = ctx.create_vcq_per_tni(0);
-  EXPECT_EQ(vcqs.size(), 6u);
-  for (int t = 0; t < 6; ++t) {
-    EXPECT_EQ(net.tni_of(vcqs[static_cast<std::size_t>(t)]), t);
-    EXPECT_EQ(net.proc_of(vcqs[static_cast<std::size_t>(t)]), 0);
-  }
 }
 
 TEST(UtofuContext, FreesVcqsOnDestruction) {
