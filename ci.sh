@@ -534,6 +534,77 @@ run_bench_compare_smoke() {
       || { echo "bench_compare: missing baseline must exit 0"; return 1; }
 }
 
+# Newton-off stress slice: run the Newton-off comm, executor and EAM
+# tests 4 x <runs> times in 4 concurrent loops, and fail on any failure.
+# Newton off lets a neighbor run one forward ahead, so a receiver can
+# find two forwards parked on one channel; the dispatcher's two-deep
+# stash is what makes that legal, and the concurrent loads are what make
+# it happen. Pass 1's 200 runs catch a 3.5% per-run failure rate with
+# probability 0.999.
+run_newton_off_stress() {
+  local build_dir="$1" runs="$2"
+  local filter='CommIntegration.NewtonOff*:Executor.*NewtonOff*:Stress.EamNewtonOff*'
+  echo "--- Newton-off stress (${build_dir}, 4 loops x ${runs} runs) ---"
+  local ntests
+  ntests=$("${build_dir}/tests/lmp_tests" --gtest_filter="${filter}" \
+      --gtest_list_tests | grep -c '^  ' || true)
+  [[ ${ntests} -gt 0 ]] \
+      || { echo "newton-off stress: filter '${filter}' matches no test"; return 1; }
+  local work
+  work=$(mktemp -d)
+  trap 'rm -rf "${work}"' RETURN
+  local loop
+  for loop in 1 2 3 4; do
+    (
+      for ((i = 0; i < runs; ++i)); do
+        "${build_dir}/tests/lmp_tests" --gtest_filter="${filter}" \
+            > "${work}/loop${loop}.log" 2>&1 \
+            || { echo "=== loop ${loop}, run ${i}: FAILED"
+                 cat "${work}/loop${loop}.log"; } >> "${work}/failed.${loop}.log"
+      done
+    ) &
+  done
+  wait
+  if compgen -G "${work}/failed.*.log" > /dev/null; then
+    echo "newton-off stress: $(cat "${work}"/failed.*.log | grep -c '^=== loop')" \
+         "of $((4 * runs)) runs failed; the first:"
+    cat "${work}"/failed.*.log | head -60
+    return 1
+  fi
+  echo "newton-off stress: $((4 * runs)) runs of ${ntests} tests, 0 failures"
+}
+
+# Bench-gate guard: every bench/ target is a paper reproduction
+# (fig*/table*), the bench_compare gate itself, or a bench_<x> whose
+# committed bench/baselines/BENCH_<x>.json run_bench_compare_smoke gates.
+# A program that prints a table nobody checks is deleted, not added.
+run_bench_gate_guard() {
+  echo "--- bench-gate guard (every bench/ target is gated) ---"
+  local smoke targets t bad=0
+  smoke=$(sed -n '/^run_bench_compare_smoke()/,/^}/p' ci.sh)
+  targets=$(sed 's/#.*//' bench/CMakeLists.txt | tr '\n' ' ' \
+      | grep -oE 'foreach\(b [^)]*\)|add_executable\([A-Za-z0-9_]+' \
+      | sed -E 's/^foreach\(b //; s/\)$//; s/^add_executable\(//' \
+      | tr ' ' '\n' | grep -v '^$' || true)
+  grep -qx bench_compare <<< "${targets}" \
+      || { echo "bench-gate: found no bench_compare target; the parser went blind"; return 1; }
+  for t in ${targets}; do
+    case "${t}" in
+      fig*|table*|bench_compare) continue ;;
+      bench_*)
+        local rec="bench/baselines/BENCH_${t#bench_}.json"
+        if [[ -f "${rec}" ]] && grep -qF "${rec}" <<< "${smoke}"; then
+          continue
+        fi ;;
+    esac
+    echo "bench-gate: bench/ target '${t}' is not a fig*/table* paper" \
+         "reproduction, bench_compare, or a bench_<x> whose" \
+         "bench/baselines/BENCH_<x>.json run_bench_compare_smoke gates"
+    bad=1
+  done
+  return "${bad}"
+}
+
 # Layering guard: src/util is the leaf layer. No file under it may
 # include a header from another src/ module, and lmp_util may link no
 # other lmp_* library — that is what keeps the old util<->obs link cycle
@@ -604,7 +675,15 @@ def name_of(sig):
 def executables(d):
     return [p for p in d.iterdir() if p.is_file() and p.stat().st_mode & 0o111]
 
-defined = {s for s in symbols(sorted((build / "src").rglob("*.o")), {"T"})
+def has_source(obj):
+    # build/src/<mod>/CMakeFiles/<target>.dir/<file>.cpp.o -> src/<mod>/<file>.cpp;
+    # a reused tree keeps the objects of deleted sources, which no binary links.
+    parts = obj.relative_to(build).parts
+    i = next(k for k, p in enumerate(parts) if p.endswith(".dir"))
+    return pathlib.Path(*parts[:i - 1], *parts[i + 1:]).with_suffix("").exists()
+
+objects = sorted(o for o in (build / "src").rglob("*.o") if has_source(o))
+defined = {s for s in symbols(objects, {"T"})
            if "<" not in re.sub(r"operator\W+", "", name_of(s))}
 prod = executables(build / "examples") + executables(build / "bench") + [lmp_bench]
 reached = symbols(prod)
@@ -643,10 +722,12 @@ EOF
 
 echo "=== pass 1: -Werror build + ctest ==="
 run_layering_guard
+run_bench_gate_guard
 run_reachability_guard
 cmake -B build-ci -S . -DLMP_WERROR=ON
 cmake --build build-ci -j "${JOBS}"
 ctest --test-dir build-ci --output-on-failure -j "${JOBS}"
+run_newton_off_stress build-ci 50
 run_restart_smoke build-ci
 run_trace_smoke build-ci
 run_integrity_smoke build-ci
@@ -694,6 +775,7 @@ cmake -B build-ci-tsan -S . -DLMP_WERROR=ON -DLMP_SANITIZE=thread
 cmake --build build-ci-tsan -j "${JOBS}" --target lmp_tests
 ctest --test-dir build-ci-tsan --output-on-failure -j "${JOBS}" \
     -R 'TaskGraph|SpinThreadPool|ForkJoin|NoticeDispatcher|TimeSeries|SloAccountant|TelemetrySampler|StreamWatch|AllocTracker|Network|RegisteredBuffer|UtofuContext|ForceGroups|LjSplit|EamSplit|Executor\..*Eam|Executor\.AsyncMatchesBarrierBitwiseLj(Ref|P2p)'
+run_newton_off_stress build-ci-tsan 3
 
 echo "=== pass 3: LMP_TRACE=OFF LMP_ALLOC_TRACE=OFF build (instrumentation compiles out) ==="
 cmake -B build-ci-notrace -S . -DLMP_WERROR=ON -DLMP_TRACE=OFF \

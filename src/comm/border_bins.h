@@ -33,8 +33,8 @@ class BorderBins {
   /// Directions atom position `p` must be sent to.
   const std::vector<int>& targets(const geom::Vec3& p) const;
 
-  /// Naive reference: direction subset of `send_dirs` whose slab contains
-  /// `p` (used by tests and the ablation baseline).
+  /// Naive scan: direction subset of `send_dirs` whose slab contains `p`
+  /// (the fallback when binning is not applicable, and the tests' oracle).
   static std::vector<int> targets_naive(const geom::Box& sub_box, double rc,
                                         const std::vector<int>& send_dirs,
                                         const geom::Vec3& p);

@@ -24,7 +24,7 @@ struct CommContext {
   double density = 0;      ///< number density, for buffer upper bounds
 };
 
-/// Per-run communication counters (tests + ablation benches).
+/// Per-run communication counters (tests and run reports).
 struct CommCounters {
   std::uint64_t border_msgs = 0;
   std::uint64_t forward_msgs = 0;

@@ -1,10 +1,10 @@
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <sstream>
 #include <stdexcept>
 
@@ -82,16 +82,20 @@ struct DispatcherCounters {
 ///
 /// Notices for different logical channels can interleave on a VCQ (a fast
 /// neighbor's forward for step n+1 can land while we still collect
-/// reverse notices for step n). The engine's stage ordering guarantees at
-/// most ONE outstanding message per (kind, direction, sender), so a
-/// single stash slot per (kind, direction) suffices to reorder.
+/// reverse notices for step n). The engine's stage ordering allows at
+/// most TWO outstanding messages per (kind, direction, sender): a
+/// Newton-off neighbor finishes step n with our step-n forward, which we
+/// send before we wait, so its step-(n+1) forward can land while we still
+/// wait on another channel; its step-(n+2) forward needs our step-(n+1)
+/// one. A two-deep FIFO per (kind, direction), drained oldest first,
+/// therefore suffices, and keeps the fabric's per-sender order.
 ///
 /// With reliability enabled (fault-injected runs), the dispatcher also
 /// tracks per-channel sequence numbers: stale or duplicate notices are
 /// dropped, and a wait that stalls issues NACKs (via the `NackFn`
 /// callback, with exponential backoff) asking the sender to replay the
 /// missing message. Sequence numbers are 8-bit with wraparound compare —
-/// the one-outstanding invariant keeps the window tiny.
+/// the two-outstanding bound keeps the window tiny.
 ///
 /// Exactly one thread drives a given dispatcher (it owns the VCQ).
 class NoticeDispatcher {
@@ -143,15 +147,16 @@ class NoticeDispatcher {
     const obs::TraceSpan wait_span(obs::TraceCat::kComm,
                                    detail::wait_span_name(kind));
     LMP_ALLOC_SCOPE(detail::wait_span_name(kind));
-    auto& slot = stash_[static_cast<int>(kind)][dir];
-    if (slot) {
-      const Edata e = slot->e;
-      if (slot->flow != 0) {
-        LMP_TRACE_FLOW(obs::TraceCat::kComm, obs::kMsgFlowName, slot->flow,
+    Stash& fifo = stash_[static_cast<int>(kind)][dir];
+    if (fifo.count > 0) {
+      const Stashed oldest = fifo.slot[0];
+      fifo.slot[0] = fifo.slot[1];
+      --fifo.count;
+      if (oldest.flow != 0) {
+        LMP_TRACE_FLOW(obs::TraceCat::kComm, obs::kMsgFlowName, oldest.flow,
                        obs::TraceEvent::kFlowFinish);
       }
-      slot.reset();
-      return e;
+      return oldest.e;
     }
     const auto start = std::chrono::steady_clock::now();
     const std::int64_t wait_t0 = obs::metrics_enabled() ? obs::now_ns() : 0;
@@ -177,20 +182,20 @@ class NoticeDispatcher {
           }
           return e;
         }
-        auto& other = stash_[static_cast<int>(e.kind)][e.dir];
-        if (other) {
-          if (reliable_ && other->e.seq == e.seq) {
-            // Same message delivered twice with the stash still full —
-            // a duplicate that raced past the seq filter via the stash.
-            counters_.duplicates_dropped.fetch_add(1,
-                                                   std::memory_order_relaxed);
-            LMP_TRACE_INSTANT(obs::TraceCat::kComm, "notice.dup_dropped");
-            continue;
-          }
-          throw_stage_ordering(e, *other);
+        Stash& other = stash_[static_cast<int>(e.kind)][e.dir];
+        if (reliable_ && std::any_of(other.slot, other.slot + other.count,
+                                     [&](const Stashed& s) {
+                                       return s.e.seq == e.seq;
+                                     })) {
+          // Same message delivered twice while still stashed — a
+          // duplicate that raced past the seq filter via the stash.
+          counters_.duplicates_dropped.fetch_add(1, std::memory_order_relaxed);
+          LMP_TRACE_INSTANT(obs::TraceCat::kComm, "notice.dup_dropped");
+          continue;
         }
+        if (other.count == 2) throw_stage_ordering(e, other.slot[1]);
         bump_seq(e);
-        other = Stashed{e, notice->flow_id};
+        other.slot[other.count++] = Stashed{e, notice->flow_id};
         continue;
       }
       if ((spin & 0x3FF) == 0) {
@@ -251,9 +256,15 @@ class NoticeDispatcher {
     Edata e;
     std::uint64_t flow = 0;
   };
+  /// One (kind, dir) channel's parked notices, oldest first.
+  struct Stash {
+    Stashed slot[2];
+    int count = 0;
+  };
 
-  /// A second message reached a (kind, dir) channel whose stash is still
-  /// full. Names everything needed to find which stage ran ahead.
+  /// A third message reached a (kind, dir) channel whose stash already
+  /// holds two. Names everything needed to find which stage ran ahead;
+  /// `stashed` is the newest parked message.
   [[noreturn]] void throw_stage_ordering(const Edata& incoming,
                                          const Stashed& stashed) const {
     std::ostringstream os;
@@ -268,7 +279,7 @@ class NoticeDispatcher {
 
   tofu::Network* net_ = nullptr;
   tofu::VcqId vcq_ = tofu::kInvalidVcq;
-  std::optional<Stashed> stash_[kKindCount][kMaxDirs] = {};
+  Stash stash_[kKindCount][kMaxDirs] = {};
   std::uint8_t last_seq_[kKindCount][kMaxDirs];
   bool seq_seen_[kKindCount][kMaxDirs];
   bool reliable_ = false;

@@ -26,11 +26,12 @@ struct CommTask {
 std::vector<int> balance_tasks(const std::vector<CommTask>& tasks, int nthreads,
                                double hop_penalty_bytes = 256.0);
 
-/// Round-robin baseline (dir i -> thread i % nthreads) for the ablation.
+/// Round-robin baseline (dir i -> thread i % nthreads) the balancer is
+/// measured against in tests.
 std::vector<int> round_robin(const std::vector<CommTask>& tasks, int nthreads);
 
 /// Makespan (max per-thread summed cost) of an assignment — the quantity
-/// the balancer minimizes; used by tests and the ablation bench.
+/// the balancer minimizes; tests judge assignments with it.
 double makespan(const std::vector<CommTask>& tasks,
                 const std::vector<int>& assignment, int nthreads,
                 double hop_penalty_bytes = 256.0);

@@ -38,7 +38,6 @@ struct Calibration {
 
   // --- memory/pack costs ----------------------------------------------
   double t_pack_per_byte = 0.012e-9;  ///< ~80 GB/s effective pack rate
-  double t_reg_per_call = 20e-6;      ///< registration syscall (Sec. 3.4)
 
   // --- threading runtimes (paper Sec. 3.3 micro-measurement) -----------
   double omp_region_overhead = 5.8e-6;

@@ -198,11 +198,6 @@ double NetModel::exchange_time(const CommConfig& cfg,
     clock += cfg.runtime == Runtime::kPool ? cal_.pool_region_overhead
                                            : cal_.omp_region_overhead;
   }
-  // Dynamic (non-pre-registered) RDMA pays registration on growth; we
-  // charge the amortized per-exchange cost for the ablation baseline.
-  if (cfg.dynamic_registration) {
-    clock += cal_.t_reg_per_call;
-  }
   return clock;
 }
 

@@ -30,9 +30,6 @@ struct CommConfig {
   /// Receiver writes land directly in the target array (pre-registered
   /// RDMA, Sec. 3.4) — no unpack copy.
   bool direct_write = false;
-  /// Dynamic per-growth registration (the non-pre-registered baseline,
-  /// ablation only): adds registration cost per exchange.
-  bool dynamic_registration = false;
 
   static CommConfig ref_mpi();        ///< baseline LAMMPS
   static CommConfig mpi_p2p();        ///< naive MPI p2p (Fig. 6)

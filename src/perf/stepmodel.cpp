@@ -152,9 +152,6 @@ StepBreakdown StepModel::step_time(const Workload& w,
   const double migration = exchange_once(w, cfg, 56.0 * 0.05);
   out.comm =
       lambda * (forward + reverse + rebuild_freq * (border + migration));
-  if (cfg.dynamic_registration) {
-    out.comm += rebuild_freq * 26.0 * cal_.t_reg_per_call;
-  }
 
   // ---- Modify ------------------------------------------------------
   out.modify = cal_.regions_per_step_modify * region +

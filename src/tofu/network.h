@@ -83,7 +83,7 @@ struct MrqEntry {
   std::uint64_t flow_id = 0;
 };
 
-/// Counters for ablation benches and tests (how many registrations did a
+/// Fabric counters for tests and reports (how many registrations did a
 /// run perform? how many bytes crossed the fabric?).
 struct NetworkStats {
   std::atomic<std::uint64_t> puts{0};
@@ -186,8 +186,8 @@ class Network {
 
   // --- memory registration ------------------------------------------
   /// Register [base, base+len) of `proc` and return its STADD. Real
-  /// registration pins pages via a syscall; the performance model charges
-  /// `perf::Calibration::t_reg_per_call` for each of these events.
+  /// registration pins pages via a syscall, so the comm engines register
+  /// only at setup (Sec. 3.4) and the performance model charges none.
   Stadd reg_mem(int proc, void* base, std::size_t len);
   void dereg_mem(int proc, Stadd stadd);
 

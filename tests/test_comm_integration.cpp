@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -7,6 +8,8 @@
 #include <vector>
 
 #include "comm/comm_factory.h"
+#include "geom/lattice.h"
+#include "minimpi/runtime.h"
 #include "sim/simulation.h"
 
 namespace lmp::sim {
@@ -251,6 +254,74 @@ TEST(CommP2pMpi, ZeroLengthReceivesAreEmptyPayloads) {
   EXPECT_EQ(atoms.nlocal(), 2);
   EXPECT_EQ(c.comm->counters().exchange_msgs, 26u);
   EXPECT_EQ(c.comm->counters().bytes, 0u);
+}
+
+TEST(CommUtofu, RegistersOnlyAtSetup) {
+  // Pre-registration (paper Sec. 3.4): setup() registers every RDMA
+  // buffer a run will use, so exchanges that migrate atoms, border
+  // rebuilds and forward/reverse rounds never register again. Clean runs
+  // only: under fault injection, replay copies register lazily.
+  const geom::FccLattice lattice = geom::FccLattice::from_density(0.8442);
+  const geom::Box global = lattice.box_for(6, 6, 6);
+  const geom::Decomposition decomp({2, 2, 1}, global);
+  const std::vector<util::Vec3> pos = lattice.generate(6, 6, 6);
+  const double density = static_cast<double>(pos.size()) / global.volume();
+  const int nranks = decomp.nranks();
+  for (const char* v : {"6tni_p2p", "opt"}) {
+    minimpi::World world(nranks);
+    tofu::Network net(nranks);
+    comm::AddressBook book(nranks);
+    std::uint64_t after_setup = 0;
+    std::atomic<std::uint64_t> migrated_bytes{0};
+    minimpi::run_ranks(nranks, [&](int rank) {
+      md::Atoms atoms;
+      atoms.reserve_capacity(4096);
+      for (std::size_t i = 0; i < pos.size(); ++i) {
+        if (decomp.owner_of(pos[i]) == rank) {
+          atoms.add_local(pos[i], {0, 0, 0}, static_cast<std::int64_t>(i));
+        }
+      }
+      comm::CommBuildInputs in;
+      in.ctx.decomp = &decomp;
+      in.ctx.rank = rank;
+      in.ctx.atoms = &atoms;
+      in.ctx.sub = decomp.sub_box(rank);
+      in.ctx.global = global;
+      in.ctx.ghost_cutoff = 2.8;
+      in.ctx.density = density;
+      in.world = &world;
+      in.net = &net;
+      in.book = &book;
+      const comm::CommInstance built =
+          comm::CommFactory::instance().at(v).build(in);
+      comm::Comm& c = *built.comm;
+      c.setup();
+      world.barrier(rank);
+      if (rank == 0) after_setup = net.stats().registrations.load();
+      world.barrier(rank);
+      for (int epoch = 0; epoch < 2; ++epoch) {
+        // Drift every atom by more than a lattice plane spacing (0.84),
+        // so one plane per sub-box crosses into the x and y neighbors.
+        for (int i = 0; i < atoms.nlocal(); ++i) {
+          atoms.set_pos(i, atoms.pos(i) + util::Vec3{0.9, 0.9, 0.3});
+        }
+        const std::uint64_t before = c.counters().bytes;
+        c.exchange();
+        migrated_bytes += c.counters().bytes - before;
+        c.borders();
+        for (int round = 0; round < 20; ++round) {
+          c.forward_positions();
+          atoms.zero_forces();
+          c.reverse_forces();
+        }
+        atoms.clear_ghosts();
+      }
+      world.barrier(rank);
+    });
+    EXPECT_GT(after_setup, 0u) << v;
+    EXPECT_GT(migrated_bytes.load(), 0u) << v;
+    EXPECT_EQ(net.stats().registrations.load(), after_setup) << v;
+  }
 }
 
 }  // namespace

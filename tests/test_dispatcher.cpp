@@ -103,16 +103,31 @@ TEST(NoticeDispatcher, ShuffledPerDirectionWaitsAllComplete) {
   }
 }
 
+TEST(NoticeDispatcher, TwoOutstandingForwardsDrainOldestFirst) {
+  // A Newton-off neighbor may run one forward ahead: its step-(n+1)
+  // forward on dir 3 lands while we still wait for step n's on dir 5.
+  // Both stay parked, and later waits consume them in arrival order.
+  Fixture f;
+  f.post(MsgKind::kForward, 3, 1);
+  f.post(MsgKind::kForward, 3, 2);
+  f.post(MsgKind::kForward, 5, 9);
+  EXPECT_EQ(f.dispatch.wait(MsgKind::kForward, 5).value, 9u);
+  EXPECT_EQ(f.dispatch.wait(MsgKind::kForward, 3).value, 1u);
+  EXPECT_EQ(f.dispatch.wait(MsgKind::kForward, 3).value, 2u);
+}
+
 TEST(NoticeDispatcher, DoubleOutstandingChannelIsAProtocolError) {
-  // Two unconsumed messages on one (kind, dir) channel violates the
-  // at-most-one-in-flight invariant the engine relies on.
+  // A third unconsumed message on one (kind, dir) channel violates the
+  // at-most-two-in-flight bound the engine relies on.
   // The error names where it happened: proc, VCQ, channel, and the
-  // sequence numbers of both messages.
+  // sequence numbers of the newest stashed and the incoming message.
   Fixture f;
   f.net.put_piggyback(f.sender, f.receiver,
-                      Edata{MsgKind::kExchange, 7, 0, 1, /*seq=*/3}.encode());
+                      Edata{MsgKind::kExchange, 7, 0, 1, /*seq=*/2}.encode());
   f.net.put_piggyback(f.sender, f.receiver,
-                      Edata{MsgKind::kExchange, 7, 0, 2, /*seq=*/4}.encode());
+                      Edata{MsgKind::kExchange, 7, 0, 2, /*seq=*/3}.encode());
+  f.net.put_piggyback(f.sender, f.receiver,
+                      Edata{MsgKind::kExchange, 7, 0, 3, /*seq=*/4}.encode());
   try {
     f.dispatch.wait(MsgKind::kBorder, 0);
     FAIL() << "expected a stage-ordering logic_error";

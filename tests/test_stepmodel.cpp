@@ -140,15 +140,6 @@ TEST(StepModel, EamMidCommChargedToPair) {
   EXPECT_GT(m.step_time(eam, cfg).pair, 2.0 * m.step_time(lj, cfg).pair);
 }
 
-TEST(StepModel, DynamicRegistrationCostsMore) {
-  const StepModel m = model();
-  const Workload w = Workload::lj(4194304, 768);
-  CommConfig pre = CommConfig::p2p_parallel();
-  CommConfig dyn = pre;
-  dyn.dynamic_registration = true;
-  EXPECT_GT(m.step_time(w, dyn).comm, m.step_time(w, pre).comm);
-}
-
 TEST(StepModel, Fig15CrossoverAt124) {
   const StepModel m = model();
   Workload w26 = Workload::lj(65536, 768);
