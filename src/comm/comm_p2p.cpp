@@ -163,7 +163,8 @@ void CommP2p::record_pending(MsgKind kind, int dir, bool piggyback,
                              std::uint64_t edata, std::uint64_t flow) {
   std::lock_guard lock(pending_mu_);
   PendingSend& p =
-      pending_[static_cast<std::size_t>(kind)][static_cast<std::size_t>(dir)];
+      pending_[static_cast<std::size_t>(kind)][static_cast<std::size_t>(dir)]
+              [Edata::decode(edata).seq & 1U];
   p.valid = true;
   p.piggyback = piggyback;
   p.edata = edata;
@@ -208,14 +209,15 @@ void CommP2p::serve_retransmit(MsgKind kind, std::uint8_t seq, int dir) {
   }
   std::lock_guard lock(pending_mu_);
   const PendingSend& p =
-      pending_[static_cast<std::size_t>(kind)][static_cast<std::size_t>(dir)];
+      pending_[static_cast<std::size_t>(kind)][static_cast<std::size_t>(dir)]
+              [seq & 1U];
   // Serve only the exact message the receiver is missing: if the channel
-  // has already advanced (stale NACK) or the message was never sent yet
-  // (early NACK), ignore — the receiver re-NACKs with backoff. This is
-  // what makes late replays harmless: a replay is only ever issued while
-  // the original is still the channel's latest message, so it rewrites
-  // bytes identical to those already delivered.
-  if (!p.valid || static_cast<std::uint8_t>((p.edata >> 44) & 0xFF) != seq) {
+  // has already advanced two past it (stale NACK) or the message was
+  // never sent yet (early NACK), ignore — the receiver re-NACKs with
+  // backoff. This is what makes late replays harmless: a replay is only
+  // ever issued while the original is one of the channel's two latest
+  // messages, so it rewrites bytes identical to those already delivered.
+  if (!p.valid || Edata::decode(p.edata).seq != seq) {
     return;
   }
   retransmits_served_.fetch_add(1, std::memory_order_relaxed);
@@ -277,7 +279,8 @@ Edata CommP2p::wait_ring(MsgKind kind, int dir) {
     if (e.crc == payload_crc(e.value, ring, e.value * sizeof(double))) return e;
     crc_rejects_.fetch_add(1, std::memory_order_relaxed);
     LMP_TRACE_INSTANT(obs::TraceCat::kComm, "crc.rejected");
-    dispatch_[static_cast<std::size_t>(slot)].accept_retransmit(kind, dir);
+    dispatch_[static_cast<std::size_t>(slot)].accept_retransmit(kind, dir,
+                                                                e.seq);
     send_nack(kind, dir);
   }
 }
@@ -289,7 +292,8 @@ Edata CommP2p::wait_piggyback(MsgKind kind, int dir) {
     if (!reliable_ || e.crc == payload_crc(e.value, nullptr, 0)) return e;
     crc_rejects_.fetch_add(1, std::memory_order_relaxed);
     LMP_TRACE_INSTANT(obs::TraceCat::kComm, "crc.rejected");
-    dispatch_[static_cast<std::size_t>(slot)].accept_retransmit(kind, dir);
+    dispatch_[static_cast<std::size_t>(slot)].accept_retransmit(kind, dir,
+                                                                e.seq);
     send_nack(kind, dir);
   }
 }
@@ -538,7 +542,7 @@ void CommP2p::complete_forward_dir(int u) {
       if (e.crc != payload_crc(e.value, region, bytes)) {
         crc_rejects_.fetch_add(1, std::memory_order_relaxed);
         dispatch_[static_cast<std::size_t>(slot)].accept_retransmit(
-            MsgKind::kForward, u);
+            MsgKind::kForward, u, e.seq);
         send_nack(MsgKind::kForward, u);
         continue;
       }

@@ -73,14 +73,16 @@ struct P2pOptions {
 /// of Fugaku's assistant cores — replays the pending message from a
 /// stable registered copy. Duplicates and stale deliveries are filtered
 /// by sequence number; corrupted payloads are CRC-rejected and NACKed.
-/// A replay is served only when the pending sequence number matches the
-/// request, so a stale NACK can never resurrect a superseded message;
-/// an in-window replay rewrites bytes identical to those already
-/// delivered, which is why late replays are harmless. When the injector
-/// marks TNIs down, setup() re-stripes the logical VCQ slots across the
-/// surviving TNIs (distinct CQ rows keep hardware CQs exclusive). With
-/// no injector attached none of this machinery is active: no CRC is
-/// computed, no pending copies are kept, and no thread is spawned.
+/// Receivers accept each channel strictly in sequence order. A replay is
+/// served only while the requested sequence number is one of the
+/// channel's two latest messages, so a stale NACK can never resurrect a
+/// superseded message; an in-window replay rewrites bytes identical to
+/// those already delivered, which is why late replays are harmless.
+/// When the injector marks TNIs down, setup() re-stripes the logical VCQ
+/// slots across the surviving TNIs (distinct CQ rows keep hardware CQs
+/// exclusive). With no injector attached none of this machinery is
+/// active: no CRC is computed, no pending copies are kept, and no thread
+/// is spawned.
 class CommP2p final : public Comm {
  public:
   /// `pool` must outlive this object and have >= options.comm_threads
@@ -130,10 +132,12 @@ class CommP2p final : public Comm {
     tofu::RegisteredBuffer send_buf;
   };
 
-  /// Sender-side replay state for one (kind, direction) channel: the
-  /// last message sent, with its payload captured in a registered copy
-  /// so a retransmit writes exactly the original bytes even after the
-  /// live send buffer has been reused.
+  /// Sender-side replay state for one message of a (kind, direction)
+  /// channel, with its payload captured in a registered copy so a
+  /// retransmit writes exactly the original bytes even after the live
+  /// send buffer has been reused. Each channel keeps its two latest
+  /// messages (a Newton-off forward may have two in flight), indexed by
+  /// seq parity.
   struct PendingSend {
     bool valid = false;
     bool piggyback = false;
@@ -193,7 +197,7 @@ class CommP2p final : public Comm {
                       std::uint64_t flow);
   /// NACK the sender of the (kind, dir) channel this rank receives on.
   void send_nack(MsgKind kind, int dir);
-  /// Replay the pending send on (kind, dir) iff its seq matches `seq`.
+  /// Replay message `seq` of (kind, dir) iff it is still pending.
   void serve_retransmit(MsgKind kind, std::uint8_t seq, int dir);
   void progress_loop();
   /// Dispatcher wait + CRC verification over the ring payload; rejects
@@ -225,7 +229,8 @@ class CommP2p final : public Comm {
   int tnis_in_use_ = 0;
   std::uint8_t seq_out_[kKindCount][kNumDirs] = {};
   std::mutex pending_mu_;
-  std::array<std::array<PendingSend, kNumDirs>, kKindCount> pending_;
+  std::array<std::array<std::array<PendingSend, 2>, kNumDirs>, kKindCount>
+      pending_;
   std::thread progress_;
   std::atomic<bool> stop_progress_{false};
   std::atomic<std::uint64_t> nacks_sent_{0};

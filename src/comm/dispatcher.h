@@ -91,10 +91,12 @@ struct DispatcherCounters {
 /// therefore suffices, and keeps the fabric's per-sender order.
 ///
 /// With reliability enabled (fault-injected runs), the dispatcher also
-/// tracks per-channel sequence numbers: stale or duplicate notices are
-/// dropped, and a wait that stalls issues NACKs (via the `NackFn`
-/// callback, with exponential backoff) asking the sender to replay the
-/// missing message. Sequence numbers are 8-bit with wraparound compare —
+/// tracks per-channel sequence numbers and accepts each channel strictly
+/// in order: a notice behind the next expected seq is a duplicate or a
+/// stale original, one ahead of it follows a lost, delayed or rejected
+/// message — both are dropped, and a wait that stalls issues NACKs (via
+/// the `NackFn` callback, with exponential backoff) asking the sender to
+/// replay the next expected seq. Sequence numbers are 8-bit and wrap —
 /// the two-outstanding bound keeps the window tiny.
 ///
 /// Exactly one thread drives a given dispatcher (it owns the VCQ).
@@ -103,10 +105,8 @@ class NoticeDispatcher {
   /// Called when the awaited (kind, dir) notice is overdue.
   using NackFn = std::function<void(MsgKind kind, int dir)>;
 
-  NoticeDispatcher() { reset_seq(); }
-  NoticeDispatcher(tofu::Network* net, tofu::VcqId vcq) : net_(net), vcq_(vcq) {
-    reset_seq();
-  }
+  NoticeDispatcher() = default;
+  NoticeDispatcher(tofu::Network* net, tofu::VcqId vcq) : net_(net), vcq_(vcq) {}
 
   tofu::VcqId vcq() const { return vcq_; }
 
@@ -121,16 +121,17 @@ class NoticeDispatcher {
   }
   const DispatcherCounters& counters() const { return counters_; }
 
-  /// Re-admit a replay of the last-seen message on (kind, dir): called
-  /// after a CRC reject, whose retransmit re-uses the rejected seq.
-  void accept_retransmit(MsgKind kind, int dir) {
-    auto& last = last_seq_[static_cast<int>(kind)][dir];
-    last = static_cast<std::uint8_t>(last - 1);
+  /// Re-admit a replay of `seq` on (kind, dir) after its payload failed
+  /// the CRC check. A message parked behind it is discarded as well, so
+  /// the replay is delivered first; the discarded one is NACKed for in
+  /// order once its own wait stalls.
+  void accept_retransmit(MsgKind kind, int dir, std::uint8_t seq) {
+    last_seq_[static_cast<int>(kind)][dir] = static_cast<std::uint8_t>(seq - 1);
+    stash_[static_cast<int>(kind)][dir].count = 0;
   }
 
   /// Sequence number the next (kind, dir) message should carry — what a
-  /// NACK asks the sender to replay. Senders start their channels at 1,
-  /// so last+1 is right even before the first delivery.
+  /// NACK asks the sender to replay. Senders start their channels at 1.
   std::uint8_t expected_seq(MsgKind kind, int dir) const {
     return static_cast<std::uint8_t>(last_seq_[static_cast<int>(kind)][dir] + 1);
   }
@@ -165,7 +166,7 @@ class NoticeDispatcher {
     for (std::uint64_t spin = 0;; ++spin) {
       if (auto notice = net_->poll_mrq(vcq_)) {
         const Edata e = Edata::decode(notice->edata);
-        if (reliable_ && stale_or_dup(e)) {
+        if (reliable_ && e.seq != expected_seq(e.kind, e.dir)) {
           counters_.duplicates_dropped.fetch_add(1, std::memory_order_relaxed);
           LMP_TRACE_INSTANT(obs::TraceCat::kComm, "notice.dup_dropped");
           continue;
@@ -183,16 +184,6 @@ class NoticeDispatcher {
           return e;
         }
         Stash& other = stash_[static_cast<int>(e.kind)][e.dir];
-        if (reliable_ && std::any_of(other.slot, other.slot + other.count,
-                                     [&](const Stashed& s) {
-                                       return s.e.seq == e.seq;
-                                     })) {
-          // Same message delivered twice while still stashed — a
-          // duplicate that raced past the seq filter via the stash.
-          counters_.duplicates_dropped.fetch_add(1, std::memory_order_relaxed);
-          LMP_TRACE_INSTANT(obs::TraceCat::kComm, "notice.dup_dropped");
-          continue;
-        }
         if (other.count == 2) throw_stage_ordering(e, other.slot[1]);
         bump_seq(e);
         other.slot[other.count++] = Stashed{e, notice->flow_id};
@@ -228,26 +219,8 @@ class NoticeDispatcher {
   void drain_tcq() { net_->wait_tcq(vcq_, params_.wait_deadline); }
 
  private:
-  /// Signed wraparound compare: seq at or behind the last accepted one on
-  /// this channel means duplicate or stale (e.g. a delayed original whose
-  /// replay already arrived).
-  bool stale_or_dup(const Edata& e) const {
-    const std::uint8_t last = last_seq_[static_cast<int>(e.kind)][e.dir];
-    if (!seq_seen_[static_cast<int>(e.kind)][e.dir]) return false;
-    return static_cast<std::int8_t>(e.seq - last) <= 0;
-  }
   void bump_seq(const Edata& e) {
-    if (!reliable_) return;
-    last_seq_[static_cast<int>(e.kind)][e.dir] = e.seq;
-    seq_seen_[static_cast<int>(e.kind)][e.dir] = true;
-  }
-  void reset_seq() {
-    for (int k = 0; k < kKindCount; ++k) {
-      for (int d = 0; d < kMaxDirs; ++d) {
-        last_seq_[k][d] = 0;
-        seq_seen_[k][d] = false;
-      }
-    }
+    if (reliable_) last_seq_[static_cast<int>(e.kind)][e.dir] = e.seq;
   }
 
   /// A reordered notice parked for a later wait, with the trace flow id
@@ -268,8 +241,8 @@ class NoticeDispatcher {
   [[noreturn]] void throw_stage_ordering(const Edata& incoming,
                                          const Stashed& stashed) const {
     std::ostringstream os;
-    os << "two outstanding messages on one (kind, dir) channel — stage "
-          "ordering violated: proc "
+    os << "more than two outstanding messages on one (kind, dir) channel "
+          "— stage ordering violated: proc "
        << net_->proc_of(vcq_) << ", VCQ " << vcq_ << ", kind "
        << kind_name(incoming.kind) << ", dir " << incoming.dir
        << ", stashed seq " << static_cast<int>(stashed.e.seq)
@@ -280,8 +253,7 @@ class NoticeDispatcher {
   tofu::Network* net_ = nullptr;
   tofu::VcqId vcq_ = tofu::kInvalidVcq;
   Stash stash_[kKindCount][kMaxDirs] = {};
-  std::uint8_t last_seq_[kKindCount][kMaxDirs];
-  bool seq_seen_[kKindCount][kMaxDirs];
+  std::uint8_t last_seq_[kKindCount][kMaxDirs] = {};
   bool reliable_ = false;
   NackFn nack_;
   ReliabilityParams params_{};

@@ -17,7 +17,7 @@ struct CommHealthReport {
   // Receiver/sender protocol activity (comm layer).
   std::uint64_t nacks_sent = 0;           ///< retransmit requests issued
   std::uint64_t retransmits_served = 0;   ///< pending sends replayed
-  std::uint64_t duplicates_dropped = 0;   ///< stale/dup notices filtered
+  std::uint64_t duplicates_dropped = 0;   ///< out-of-order notices filtered
   std::uint64_t crc_rejects = 0;          ///< checksum mismatches detected
   // Fabric-side injected faults (fault injector view).
   std::uint64_t notices_dropped = 0;

@@ -9,9 +9,9 @@
 namespace lmp::comm {
 
 /// Message kinds multiplexed over the one-sided channels. Together with
-/// the direction index they identify a logical channel; at most one
-/// message per (kind, direction, sender) is in flight at a time, which
-/// the engine's stage ordering guarantees.
+/// the direction index they identify a logical channel; at most two
+/// messages per (kind, direction, sender) are in flight at a time, which
+/// the engine's stage ordering guarantees (see NoticeDispatcher).
 enum class MsgKind : int {
   kBorder = 0,    ///< border stage: ghost atom positions + tags
   kBorderAck,     ///< piggyback reply: ghost offset in receiver's x array

@@ -133,11 +133,62 @@ TEST(NoticeDispatcher, DoubleOutstandingChannelIsAProtocolError) {
     FAIL() << "expected a stage-ordering logic_error";
   } catch (const std::logic_error& e) {
     EXPECT_EQ(std::string(e.what()),
-              "two outstanding messages on one (kind, dir) channel — stage "
-              "ordering violated: proc 1, VCQ " +
+              "more than two outstanding messages on one (kind, dir) "
+              "channel — stage ordering violated: proc 1, VCQ " +
                   std::to_string(f.receiver) +
                   ", kind exchange, dir 7, stashed seq 3, incoming seq 4");
   }
+}
+
+TEST(NoticeDispatcher, CrcRejectOfParkedForwardReplaysItBeforeTheNext) {
+  // Reliable Newton-off: forwards seq 1 and 2 on dir 3 are both parked
+  // while we wait on dir 5, then seq 1's payload fails its CRC. The retry
+  // must deliver the replay of seq 1, not the parked seq 2, and seq 2
+  // must follow — each asked for by NACK, in sequence order.
+  Fixture f;
+  const auto put = [&](int dir, std::uint8_t seq, std::uint32_t value) {
+    f.net.put_piggyback(f.sender, f.receiver,
+                        Edata{MsgKind::kForward, dir, 0, value, seq}.encode());
+  };
+  std::vector<int> nacked;
+  f.dispatch.enable_reliability([&](MsgKind kind, int dir) {
+    // The sender's progress engine: replay exactly the seq asked for.
+    const std::uint8_t want = f.dispatch.expected_seq(kind, dir);
+    nacked.push_back(want);
+    put(dir, want, 100U + want);
+  });
+  put(3, 1, 1);
+  put(3, 2, 2);
+  put(5, 1, 9);
+  EXPECT_EQ(f.dispatch.wait(MsgKind::kForward, 5).value, 9u);
+  const Edata rejected = f.dispatch.wait(MsgKind::kForward, 3);
+  EXPECT_EQ(rejected.value, 1u);
+  f.dispatch.accept_retransmit(MsgKind::kForward, 3, rejected.seq);
+  EXPECT_EQ(f.dispatch.expected_seq(MsgKind::kForward, 3), 1);
+  EXPECT_EQ(f.dispatch.wait(MsgKind::kForward, 3).value, 101u);
+  EXPECT_EQ(f.dispatch.wait(MsgKind::kForward, 3).value, 102u);
+  EXPECT_EQ(nacked, (std::vector<int>{1, 2}));
+}
+
+TEST(NoticeDispatcher, ReliableChannelAcceptsOnlyInSequenceOrder) {
+  // A lost or delayed seq 1 lets seq 2 arrive first. It must not stand
+  // in for seq 1: it is dropped, and the stalled wait NACKs for seq 1.
+  Fixture f;
+  const auto put = [&](std::uint8_t seq) {
+    f.net.put_piggyback(f.sender, f.receiver,
+                        Edata{MsgKind::kForward, 4, 0, seq, seq}.encode());
+  };
+  std::vector<int> nacked;
+  f.dispatch.enable_reliability([&](MsgKind kind, int dir) {
+    const std::uint8_t want = f.dispatch.expected_seq(kind, dir);
+    nacked.push_back(want);
+    put(want);
+  });
+  put(2);
+  EXPECT_EQ(f.dispatch.wait(MsgKind::kForward, 4).seq, 1);
+  EXPECT_EQ(f.dispatch.wait(MsgKind::kForward, 4).seq, 2);
+  EXPECT_EQ(nacked, (std::vector<int>{1, 2}));
+  EXPECT_EQ(f.dispatch.counters().duplicates_dropped.load(), 1u);
 }
 
 TEST(NoticeDispatcher, TeardownWithInFlightNackBackoff) {
@@ -192,16 +243,15 @@ TEST(NoticeDispatcher, RetransmitKeepsOneFlowAcrossSegments) {
   const std::uint64_t flow = (1ull << 32) | 7;
 
   // Original data-mode put carries the flow id end to end.
-  f.net.put_piggyback(f.sender, f.receiver,
-                      Edata{MsgKind::kForward, 2, 1, 5}.encode(),
+  const Edata msg{MsgKind::kForward, 2, 1, 5, /*seq=*/1};
+  f.net.put_piggyback(f.sender, f.receiver, msg.encode(),
                       tofu::PutMode::kData, flow);
   EXPECT_EQ(f.dispatch.wait(MsgKind::kForward, 2).value, 5u);
 
   // Receiver-side CRC reject: re-admit the seq and have the sender
   // replay — the retransmit put travels under the SAME flow id.
-  f.dispatch.accept_retransmit(MsgKind::kForward, 2);
-  f.net.put_piggyback(f.sender, f.receiver,
-                      Edata{MsgKind::kForward, 2, 1, 5}.encode(),
+  f.dispatch.accept_retransmit(MsgKind::kForward, 2, msg.seq);
+  f.net.put_piggyback(f.sender, f.receiver, msg.encode(),
                       tofu::PutMode::kRetransmit, flow);
   EXPECT_EQ(f.dispatch.wait(MsgKind::kForward, 2).value, 5u);
 

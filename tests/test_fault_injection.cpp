@@ -598,6 +598,28 @@ TEST(ChaosSweep, CombinedFaultsStillBitwiseIdentical) {
   EXPECT_FALSE(chaos.health.clean());
 }
 
+TEST(ChaosSweep, NewtonOffCombinedFaultsStillBitwiseIdentical) {
+  // Without Newton a neighbor's forward may run one step ahead, so two
+  // messages per forward channel can be in flight: a CRC reject, drop
+  // or delay may hit the older one while the newer is already parked,
+  // and the replay must still be consumed before it. LJ on 2x2x2 ranks:
+  // EAM's per-step scalar forward holds every neighbor to one forward.
+  sim::SimOptions o = chaos_opts();
+  o.config = md::SimConfig::lj_melt();
+  o.config.newton = false;
+  o.cells = {6, 6, 6};
+  o.rank_grid = {2, 2, 2};
+  const auto clean = run_simulation(o, kChaosSteps);
+  o.faults.drop_rate = 0.02;
+  o.faults.delay_rate = 0.1;
+  o.faults.duplicate_rate = 0.1;
+  o.faults.corrupt_rate = 0.02;
+  const auto chaos = run_simulation(o, kChaosSteps);
+  expect_bitwise_equal(clean, chaos);
+  EXPECT_GT(chaos.health.crc_rejects, 0u);
+  EXPECT_GT(chaos.health.retransmits_served, 0u);
+}
+
 TEST(ChaosSweep, TniDownRestripesAndMatches) {
   const auto clean = run_simulation(chaos_opts(), kChaosSteps);
   sim::SimOptions o = chaos_opts();
