@@ -782,16 +782,21 @@ cmake -B build-ci-notrace -S . -DLMP_WERROR=ON -DLMP_TRACE=OFF \
     -DLMP_ALLOC_TRACE=OFF
 cmake --build build-ci-notrace -j "${JOBS}"
 ctest --test-dir build-ci-notrace --output-on-failure -j "${JOBS}"
-# Observability must be free AND inert: the stripped build's golden melt
-# trajectory must be bitwise-identical to the fully instrumented one.
+# Observability must be free AND inert: the stripped build's golden
+# trajectories, the LJ melt and the EAM copper (whose inlined spline
+# kernel is where instrumentation could perturb code generation), must
+# be bitwise-identical to the fully instrumented ones.
 golden_dir=$(mktemp -d)
 trap 'rm -rf "${golden_dir}"' EXIT
-build-ci/examples/lmp_cli examples/in.melt.lj 6tni_p2p \
-    --dump-final "${golden_dir}/instrumented.dump" > /dev/null
-build-ci-notrace/examples/lmp_cli examples/in.melt.lj 6tni_p2p \
-    --dump-final "${golden_dir}/stripped.dump" > /dev/null
-diff "${golden_dir}/instrumented.dump" "${golden_dir}/stripped.dump" \
-    || { echo "pass 3: stripped build's trajectory diverged"; exit 1; }
-echo "pass 3: stripped-build trajectory bitwise-identical to instrumented"
+for script in in.melt.lj in.eam.cu; do
+  build-ci/examples/lmp_cli "examples/${script}" 6tni_p2p \
+      --dump-final "${golden_dir}/${script}.instrumented.dump" > /dev/null
+  build-ci-notrace/examples/lmp_cli "examples/${script}" 6tni_p2p \
+      --dump-final "${golden_dir}/${script}.stripped.dump" > /dev/null
+  diff "${golden_dir}/${script}.instrumented.dump" \
+      "${golden_dir}/${script}.stripped.dump" \
+      || { echo "pass 3: stripped build's ${script} trajectory diverged"; exit 1; }
+done
+echo "pass 3: stripped-build trajectories bitwise-identical to instrumented"
 
 echo "ci.sh: all passes green"

@@ -50,20 +50,27 @@ class Eam final : public Potential {
   ForceResult split_finish() override;
 
  private:
-  /// compute()'s density-pass body over an explicit row set, into a
-  /// group-private density buffer.
-  void rho_rows(const std::vector<int>& rows, const double* x, double* rho,
+  /// The mid-pair section: reverse-add ghost densities to their owners
+  /// (Newton on), add each local atom's embedding energy to `energy` and
+  /// store fp = F'(rho), then forward fp to the ghosts.
+  void mid_pair(int nlocal, bool newton, GhostDataComm* ghost_comm,
+                double& energy);
+  /// The density pass over a row range (every local row in compute(),
+  /// one group's rows into its private buffer in the split path).
+  template <class Rows>
+  void rho_rows(const Rows& rows, const double* x, double* rho,
                 const NeighborList& list, bool newton, int nlocal) const;
-  /// compute()'s force-pass body over an explicit row set, into a
-  /// group-private force buffer; reads the shared fp_ (read-only here).
-  void force_rows(const std::vector<int>& rows, const double* x, double* f,
+  /// The force pass over a row range, reading the shared fp_. Energy and
+  /// virial continue the sums already in `out`.
+  template <class Rows>
+  void force_rows(const Rows& rows, const double* x, double* f,
                   const NeighborList& list, bool newton, int nlocal,
                   ForceResult& out) const;
 
   double cutoff_;
   double cut2_;
   UniformSpline frho_;
-  UniformSpline rhor_;
+  UniformSpline rhor_;  ///< on the same grid as z2r_ (checked at construction)
   UniformSpline z2r_;
   std::vector<double> rho_;
   std::vector<double> fp_;

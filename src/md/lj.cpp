@@ -1,6 +1,7 @@
 #include "md/lj.h"
 
 #include <algorithm>
+#include <ranges>
 #include <stdexcept>
 
 namespace lmp::md {
@@ -34,50 +35,19 @@ double LennardJones::pair_force_over_r(double r) const {
 
 ForceResult LennardJones::compute(Atoms& atoms, const NeighborList& list,
                                   bool newton, GhostDataComm*) {
-  const double* x = atoms.x();
-  double* f = atoms.f();
-  const int nlocal = atoms.nlocal();
   ForceResult out;
-
-  // Half list with newton: apply to both partners (ghost forces are
-  // reverse-communicated by the caller). Full list without newton:
-  // i-side only, 0.5-weighted tallies.
-  const double pair_weight = list.full ? 0.5 : 1.0;
-
-  for (int i = 0; i < nlocal; ++i) {
-    const double xi = x[3 * i], yi = x[3 * i + 1], zi = x[3 * i + 2];
-    double fxi = 0, fyi = 0, fzi = 0;
-    for (int k = list.offsets[i]; k < list.offsets[i + 1]; ++k) {
-      const int j = list.neigh[static_cast<std::size_t>(k)];
-      const double dx = xi - x[3 * j];
-      const double dy = yi - x[3 * j + 1];
-      const double dz = zi - x[3 * j + 2];
-      const double r2 = dx * dx + dy * dy + dz * dz;
-      if (r2 >= cut2_) continue;
-      const double inv2 = 1.0 / r2;
-      const double inv6 = inv2 * inv2 * inv2;
-      const double fpair = (lj1_ * inv6 * inv6 - lj2_ * inv6) * inv2;
-      fxi += dx * fpair;
-      fyi += dy * fpair;
-      fzi += dz * fpair;
-      if (!list.full && (newton || j < nlocal)) {
-        f[3 * j] -= dx * fpair;
-        f[3 * j + 1] -= dy * fpair;
-        f[3 * j + 2] -= dz * fpair;
-      }
-      out.energy += pair_weight * (lj3_ * inv6 * inv6 - lj4_ * inv6);
-      out.virial += pair_weight * r2 * fpair;
-    }
-    f[3 * i] += fxi;
-    f[3 * i + 1] += fyi;
-    f[3 * i + 2] += fzi;
-  }
+  force_rows(std::views::iota(0, atoms.nlocal()), atoms.x(), atoms.f(), list,
+             newton, atoms.nlocal(), out);
   return out;
 }
 
-void LennardJones::force_rows(const std::vector<int>& rows, const double* x,
-                              double* f, const NeighborList& list, bool newton,
+template <class Rows>
+void LennardJones::force_rows(const Rows& rows, const double* x, double* f,
+                              const NeighborList& list, bool newton,
                               int nlocal, ForceResult& out) const {
+  // Half list with newton: apply to both partners (ghost forces are
+  // reverse-communicated by the caller). Full list without newton:
+  // i-side only, 0.5-weighted tallies.
   const double pair_weight = list.full ? 0.5 : 1.0;
   for (const int i : rows) {
     const double xi = x[3 * i], yi = x[3 * i + 1], zi = x[3 * i + 2];

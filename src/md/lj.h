@@ -32,11 +32,12 @@ class LennardJones final : public Potential {
   ForceResult split_finish() override;
 
  private:
-  /// The compute() loop body over an explicit row set, accumulating into
-  /// `f` (a group's private buffer in the split path). Identical
-  /// arithmetic and ordering to compute(), so a single all-atom group
-  /// reproduces the monolithic forces bitwise.
-  void force_rows(const std::vector<int>& rows, const double* x, double* f,
+  /// The force loop over a row range, accumulating into `f`: every local
+  /// row into atoms.f() in compute(), one group's rows into its private
+  /// buffer in the split path. One body for both, so a single all-atom
+  /// group reproduces the monolithic forces bitwise.
+  template <class Rows>
+  void force_rows(const Rows& rows, const double* x, double* f,
                   const NeighborList& list, bool newton, int nlocal,
                   ForceResult& out) const;
 

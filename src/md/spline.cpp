@@ -1,26 +1,27 @@
 #include "md/spline.h"
 
-#include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 namespace lmp::md {
 
 UniformSpline::UniformSpline(double x0, double dx, std::span<const double> y)
-    : x0_(x0), dx_(dx), n_(static_cast<int>(y.size())), y_(y.begin(), y.end()) {
+    : x0_(x0), dx_(dx), n_(static_cast<int>(y.size())) {
   if (n_ < 3) throw std::invalid_argument("spline needs >= 3 samples");
   if (dx <= 0) throw std::invalid_argument("spline spacing must be > 0");
+  x_max_ = x0_ + dx_ * static_cast<double>(n_ - 1);
+  h2_6_ = dx_ * dx_ / 6.0;
+  h_6_ = dx_ / 6.0;
 
   // Solve the tridiagonal natural-spline system for second derivatives.
   // Uniform spacing collapses the coefficients to constants.
-  m_.assign(static_cast<std::size_t>(n_), 0.0);
+  std::vector<double> m(static_cast<std::size_t>(n_), 0.0);
   std::vector<double> c(static_cast<std::size_t>(n_), 0.0);  // scratch
   std::vector<double> d(static_cast<std::size_t>(n_), 0.0);
   // Interior equations: m[i-1] + 4 m[i] + m[i+1] = 6 (y[i-1]-2y[i]+y[i+1])/dx^2
   for (int i = 1; i < n_ - 1; ++i) {
     d[static_cast<std::size_t>(i)] =
-        6.0 * (y_[static_cast<std::size_t>(i - 1)] - 2.0 * y_[static_cast<std::size_t>(i)] +
-               y_[static_cast<std::size_t>(i + 1)]) /
+        6.0 * (y[static_cast<std::size_t>(i - 1)] - 2.0 * y[static_cast<std::size_t>(i)] +
+               y[static_cast<std::size_t>(i + 1)]) /
         (dx_ * dx_);
   }
   // Thomas algorithm with natural BCs (m[0] = m[n-1] = 0).
@@ -31,43 +32,22 @@ UniformSpline::UniformSpline(double x0, double dx, std::span<const double> y)
         (d[static_cast<std::size_t>(i)] - (i > 1 ? d[static_cast<std::size_t>(i - 1)] : 0.0)) / w;
   }
   for (int i = n_ - 2; i >= 1; --i) {
-    m_[static_cast<std::size_t>(i)] =
+    m[static_cast<std::size_t>(i)] =
         d[static_cast<std::size_t>(i)] -
-        c[static_cast<std::size_t>(i)] * m_[static_cast<std::size_t>(i + 1)];
+        c[static_cast<std::size_t>(i)] * m[static_cast<std::size_t>(i + 1)];
   }
-}
 
-int UniformSpline::segment(double x, double& t) const {
-  // Clamp into the table range, then locate the knot interval.
-  const double xc = std::clamp(x, x_min(), x_max());
-  int i = static_cast<int>((xc - x0_) / dx_);
-  i = std::clamp(i, 0, n_ - 2);
-  t = (xc - (x0_ + dx_ * i)) / dx_;
-  return i;
-}
-
-double UniformSpline::value(double x) const {
-  double v, dv;
-  eval(x, v, dv);
-  return v;
+  knots_.resize(static_cast<std::size_t>(n_));
+  for (std::size_t i = 0; i < knots_.size(); ++i) {
+    const double slope = i + 1 < knots_.size() ? (y[i + 1] - y[i]) / dx_ : 0.0;
+    knots_[i] = {y[i], m[i], slope};
+  }
 }
 
 double UniformSpline::derivative(double x) const {
   double v, dv;
   eval(x, v, dv);
   return dv;
-}
-
-void UniformSpline::eval(double x, double& val, double& deriv) const {
-  double t;
-  const int i = segment(x, t);
-  const auto iu = static_cast<std::size_t>(i);
-  const double a = 1.0 - t;
-  const double h2 = dx_ * dx_;
-  val = a * y_[iu] + t * y_[iu + 1] +
-        (h2 / 6.0) * ((a * a * a - a) * m_[iu] + (t * t * t - t) * m_[iu + 1]);
-  deriv = (y_[iu + 1] - y_[iu]) / dx_ +
-          (dx_ / 6.0) * ((3.0 * t * t - 1.0) * m_[iu + 1] - (3.0 * a * a - 1.0) * m_[iu]);
 }
 
 }  // namespace lmp::md

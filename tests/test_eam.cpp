@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
+#include "kernel_pin.h"
 #include "md/eam.h"
 #include "md/neighbor.h"
 
@@ -128,6 +132,59 @@ TEST(Eam, InvalidTableThrows) {
   EamTable t = make_cu_like_table(100, 100, 4.95);
   t.cutoff = 0.0;
   EXPECT_THROW(Eam{t}, std::invalid_argument);
+
+  // The force pass looks up one segment for both rho(r) and z2(r), so
+  // their grids must be the same.
+  EamTable g = make_cu_like_table(100, 100, 4.95);
+  g.z2r.push_back(0.0);
+  EXPECT_THROW(Eam{g}, std::invalid_argument);
+}
+
+/// A funcfl-layout table built from polynomials and sqrt only, whose
+/// samples are the same bits under any libm.
+EamTable polynomial_table() {
+  EamTable t;
+  t.cutoff = 4.95;
+  t.nr = 1000;
+  t.dr = t.cutoff / t.nr;
+  for (int i = 0; i < t.nr; ++i) {
+    const double r = (i + 1) * t.dr;
+    const double u = std::max(0.0, 1.0 - r / t.cutoff);
+    t.rhor.push_back(3.0 * u * u * u * u);
+    t.z2r.push_back(r * 4.0 * u * u * u * (2.45 - r));
+  }
+  t.nrho = 1000;
+  t.drho = 0.01;
+  for (int i = 0; i < t.nrho; ++i) {
+    t.frho.push_back(-0.85 * std::sqrt(i * t.drho));
+  }
+  return t;
+}
+
+TEST(Eam, KernelBitsMatchParent) {
+  // Absolute pin of the EAM kernels' bits (forces, energy, virial and the
+  // densities). Every other golden compares two paths of the current
+  // code, so a change that moved the bits of all paths at once would
+  // pass them; this one would not. The hashes were recorded by running
+  // this body against src/md at commit 283ac4a, before the spline lookup
+  // moved inline. A kernel change that legitimately moves bits must say
+  // so and re-record them.
+  const double rc = 5.3;
+  pin::PeriodicBox pb =
+      pin::perturbed_fcc(geom::FccLattice::from_constant(3.615), 3, 0.2, rc);
+  Eam eam(polynomial_table());
+  std::vector<std::uint64_t> got;
+  pin::run_three(eam, pb, rc, [&](const ForceResult& r) {
+    pin::Fnv1a h;
+    h.add(eam.last_rho().data(), eam.last_rho().size());
+    got.push_back(pin::hash_eval(pb.atoms, r, h));
+  });
+  const std::vector<std::uint64_t> want{
+      0xff8cd3864156be15ull, 0xadc1fac4663ca63eull, 0x448a05f66b6f6916ull};
+  ASSERT_EQ(got.size(), want.size());
+  EXPECT_EQ(got[0], want[0]) << "compute, half list, newton on";
+  EXPECT_EQ(got[1], want[1]) << "compute, full list, newton off";
+  EXPECT_EQ(got[2], want[2]) << "split path, half list, newton on";
 }
 
 }  // namespace

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
+#include "kernel_pin.h"
 #include "md/lj.h"
 #include "md/neighbor.h"
 
@@ -114,6 +117,29 @@ TEST(LennardJones, InvalidParamsThrow) {
   EXPECT_THROW(LennardJones(0.0, 1.0, 2.5), std::invalid_argument);
   EXPECT_THROW(LennardJones(1.0, -1.0, 2.5), std::invalid_argument);
   EXPECT_THROW(LennardJones(1.0, 1.0, 0.0), std::invalid_argument);
+}
+
+TEST(LennardJones, KernelBitsMatchParent) {
+  // Absolute pin of the LJ kernel's bits. Every other golden compares
+  // two paths of the current code, so a change that moved the bits of
+  // all paths at once would pass them; this one would not. The hashes
+  // were recorded by running this body against src/md at commit 283ac4a,
+  // before the row kernels became one template per pass. A kernel change
+  // that legitimately moves bits must say so and re-record them.
+  const double rc = 2.8;
+  pin::PeriodicBox pb =
+      pin::perturbed_fcc(geom::FccLattice::from_density(0.8442), 4, 0.15, rc);
+  LennardJones lj(1.0, 1.0, 2.5);
+  std::vector<std::uint64_t> got;
+  pin::run_three(lj, pb, rc, [&](const ForceResult& r) {
+    got.push_back(pin::hash_eval(pb.atoms, r));
+  });
+  const std::vector<std::uint64_t> want{
+      0xc39e482f5d53171bull, 0x86da7a75b48d01edull, 0x32a2822ffc41b05eull};
+  ASSERT_EQ(got.size(), want.size());
+  EXPECT_EQ(got[0], want[0]) << "compute, half list, newton on";
+  EXPECT_EQ(got[1], want[1]) << "compute, full list, newton off";
+  EXPECT_EQ(got[2], want[2]) << "split path, half list, newton on";
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "md/spline.h"
@@ -90,6 +92,40 @@ TEST(UniformSpline, RangeAccessors) {
   const UniformSpline s(2.0, 0.5, y);
   EXPECT_DOUBLE_EQ(s.x_min(), 2.0);
   EXPECT_DOUBLE_EQ(s.x_max(), 3.5);
+}
+
+TEST(UniformSpline, SharedSegmentMatchesEvalBitwise) {
+  // The EAM force pass locates one segment and evaluates two splines on
+  // the same grid there; each must equal that spline's own eval() bit
+  // for bit, on knots, between them and clamped beyond both ends.
+  const std::vector<double> ya{2.0, -1.0, 3.0, 0.5, 4.25, -2.0, 1.0};
+  const std::vector<double> yb{0.1, 0.7, -0.3, 2.2, 1.9, 0.0, -1.4};
+  const UniformSpline a(0.3, 0.7, ya);
+  const UniformSpline b(0.3, 0.7, yb);
+  ASSERT_TRUE(a.same_grid(b));
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  std::vector<double> xs{-4.0, 0.0, 0.29, 0.3, 4.5, 4.51, 9.0};
+  for (int k = 0; k < 7; ++k) {
+    xs.push_back(0.3 + 0.7 * k);               // on a knot
+    xs.push_back(0.3 + 0.7 * k + 0.7 / 3.0);  // between knots
+  }
+  for (const double x : xs) {
+    double t;
+    const int i = a.segment(x, t);
+    for (const UniformSpline* s : {&a, &b}) {
+      double v_at, d_at, v, d;
+      s->eval_at(i, t, v_at, d_at);
+      s->eval(x, v, d);
+      EXPECT_EQ(bits(v_at), bits(v)) << "x=" << x;
+      EXPECT_EQ(bits(d_at), bits(d)) << "x=" << x;
+      EXPECT_EQ(bits(v_at), bits(s->value(x))) << "x=" << x;
+      EXPECT_EQ(bits(d_at), bits(s->derivative(x))) << "x=" << x;
+    }
+  }
+  const std::vector<double> yc(8, 1.0);
+  EXPECT_FALSE(a.same_grid(UniformSpline(0.3, 0.7, yc)));
+  EXPECT_FALSE(a.same_grid(UniformSpline(0.3, 0.5, yb)));
+  EXPECT_FALSE(a.same_grid(UniformSpline(0.0, 0.7, yb)));
 }
 
 }  // namespace
