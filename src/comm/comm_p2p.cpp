@@ -130,8 +130,7 @@ void CommP2p::setup() {
   if (reliable_) {
     for (int t = 0; t < opt_.ntnis; ++t) {
       dispatch_[static_cast<std::size_t>(t)].enable_reliability(
-          [this](MsgKind kind, int dir) { send_nack(kind, dir); },
-          opt_.reliability);
+          [this](MsgKind kind, int dir) { send_nack(kind, dir); });
     }
     stop_progress_.store(false, std::memory_order_release);
     progress_ = std::thread([this] { progress_loop(); });
@@ -155,33 +154,6 @@ void CommP2p::for_dirs(const std::vector<int>& dirs, const Fn& fn) {
 }
 
 // --- reliability protocol ---------------------------------------------
-
-void CommP2p::record_pending(MsgKind kind, int dir, bool piggyback,
-                             const void* payload, std::uint64_t bytes,
-                             int peer, int my_slot, int peer_slot,
-                             tofu::Stadd dst_stadd, std::uint64_t dst_off,
-                             std::uint64_t edata, std::uint64_t flow) {
-  std::lock_guard lock(pending_mu_);
-  PendingSend& p =
-      pending_[static_cast<std::size_t>(kind)][static_cast<std::size_t>(dir)]
-              [Edata::decode(edata).seq & 1U];
-  p.valid = true;
-  p.piggyback = piggyback;
-  p.edata = edata;
-  p.flow = flow;
-  p.peer = peer;
-  p.my_slot = my_slot;
-  p.peer_slot = peer_slot;
-  p.dst_stadd = dst_stadd;
-  p.dst_off = dst_off;
-  p.length = bytes;
-  if (!piggyback) {
-    if (!p.copy.valid() || p.copy.size() < bytes) {
-      p.copy = utofu_->make_buffer(std::max<std::size_t>(bytes, 64));
-    }
-    if (bytes > 0) std::memcpy(p.copy.data(), payload, bytes);
-  }
-}
 
 void CommP2p::send_nack(MsgKind kind, int dir) {
   const int sender_dir = opposite(dir);
@@ -217,23 +189,24 @@ void CommP2p::serve_retransmit(MsgKind kind, std::uint8_t seq, int dir) {
   // backoff. This is what makes late replays harmless: a replay is only
   // ever issued while the original is one of the channel's two latest
   // messages, so it rewrites bytes identical to those already delivered.
-  if (!p.valid || Edata::decode(p.edata).seq != seq) {
+  if (!p.valid || Edata::decode(p.put.edata).seq != seq) {
     return;
   }
   retransmits_served_.fetch_add(1, std::memory_order_relaxed);
   LMP_TRACE_INSTANT(obs::TraceCat::kComm, "retransmit.served");
-  const RankAddresses& peer = book_->of(p.peer);
+  const PutDesc& d = p.put;
+  const RankAddresses& peer = book_->of(d.peer);
   // The replay carries the original flow id: in the trace, the NACKed
   // message and its retransmit read as one flow with several segments.
-  if (p.piggyback) {
-    net_->put_piggyback(vcq_[static_cast<std::size_t>(p.my_slot)],
-                        peer.vcq[static_cast<std::size_t>(p.peer_slot)],
-                        p.edata, tofu::PutMode::kRetransmit, p.flow);
+  if (d.piggyback) {
+    net_->put_piggyback(vcq_[static_cast<std::size_t>(d.my_slot)],
+                        peer.vcq[static_cast<std::size_t>(d.peer_slot)],
+                        d.edata, tofu::PutMode::kRetransmit, d.flow);
   } else {
-    net_->put(vcq_[static_cast<std::size_t>(p.my_slot)],
-              peer.vcq[static_cast<std::size_t>(p.peer_slot)], p.copy.stadd(),
-              0, p.dst_stadd, p.dst_off, p.length, p.edata,
-              tofu::PutMode::kRetransmit, p.flow);
+    net_->put(vcq_[static_cast<std::size_t>(d.my_slot)],
+              peer.vcq[static_cast<std::size_t>(d.peer_slot)], p.copy.stadd(),
+              0, d.dst_stadd, d.dst_off, d.length, d.edata,
+              tofu::PutMode::kRetransmit, d.flow);
   }
 }
 
@@ -268,36 +241,6 @@ void CommP2p::progress_loop() {
   }
 }
 
-Edata CommP2p::wait_ring(MsgKind kind, int dir) {
-  const int slot = slot_of_dir_[static_cast<std::size_t>(dir)];
-  for (;;) {
-    const Edata e = dispatch_[static_cast<std::size_t>(slot)].wait(kind, dir);
-    if (!reliable_) return e;
-    const double* ring =
-        rings_[static_cast<std::size_t>(dir)][static_cast<std::size_t>(e.slot)]
-            .as_doubles();
-    if (e.crc == payload_crc(e.value, ring, e.value * sizeof(double))) return e;
-    crc_rejects_.fetch_add(1, std::memory_order_relaxed);
-    LMP_TRACE_INSTANT(obs::TraceCat::kComm, "crc.rejected");
-    dispatch_[static_cast<std::size_t>(slot)].accept_retransmit(kind, dir,
-                                                                e.seq);
-    send_nack(kind, dir);
-  }
-}
-
-Edata CommP2p::wait_piggyback(MsgKind kind, int dir) {
-  const int slot = slot_of_dir_[static_cast<std::size_t>(dir)];
-  for (;;) {
-    const Edata e = dispatch_[static_cast<std::size_t>(slot)].wait(kind, dir);
-    if (!reliable_ || e.crc == payload_crc(e.value, nullptr, 0)) return e;
-    crc_rejects_.fetch_add(1, std::memory_order_relaxed);
-    LMP_TRACE_INSTANT(obs::TraceCat::kComm, "crc.rejected");
-    dispatch_[static_cast<std::size_t>(slot)].accept_retransmit(kind, dir,
-                                                                e.seq);
-    send_nack(kind, dir);
-  }
-}
-
 CommHealthReport CommP2p::health() const {
   CommHealthReport h;
   h.nacks_sent = nacks_sent_.load(std::memory_order_relaxed);
@@ -320,49 +263,109 @@ void CommP2p::check_fits(std::size_t ndoubles) const {
   }
 }
 
-void CommP2p::send_ring(MsgKind kind, int dir, std::size_t ndoubles) {
-  DirState& st = dir_[static_cast<std::size_t>(dir)];
+inline void CommP2p::send(MsgKind kind, int dir, int peer, const Src& src,
+                          Place dst, std::uint32_t value) {
   const int tag = opposite(dir);  // the receiver's view of this channel
-  const int slot = st.ring_slot_out++ % kRingSlots;
-  const int my_slot = slot_of_dir_[static_cast<std::size_t>(dir)];
-  const int peer_slot = slot_of_dir_[static_cast<std::size_t>(tag)];
-  const int peer_rank = plan_.send_peer(dir);
-  const RankAddresses& peer = book_->of(peer_rank);
-  const std::uint64_t bytes = ndoubles * sizeof(double);
-  const double* buf = st.send_buf.as_doubles();
-  Edata ed{kind, tag, slot, static_cast<std::uint32_t>(ndoubles)};
-  const std::uint64_t flow = next_flow();
+  const RankAddresses& to = book_->of(peer);
+  PutDesc p;
+  p.piggyback = dst == Place::kPiggyback;
+  p.peer = peer;
+  p.my_slot = slot_of_dir_[static_cast<std::size_t>(dir)];
+  p.peer_slot = slot_of_dir_[static_cast<std::size_t>(tag)];
+  p.length = payload_bytes(dst, value);
+  int ring_slot = 0;
+  if (dst == Place::kRing) {
+    ring_slot = dir_[static_cast<std::size_t>(dir)].ring_slot_out++ % kRingSlots;
+    p.dst_stadd =
+        to.ring[static_cast<std::size_t>(tag)][static_cast<std::size_t>(ring_slot)];
+  } else if (dst == Place::kPositions) {
+    p.dst_stadd = to.x_stadd;
+    p.dst_off = static_cast<std::uint64_t>(
+                    dir_[static_cast<std::size_t>(dir)].remote_offset) *
+                3 * sizeof(double);
+  }
+  Edata ed{kind, tag, ring_slot, value};
+  p.flow = next_flow();
   if (reliable_) {
     ed.seq = next_seq(kind, dir);
-    ed.crc = payload_crc(ed.value, buf, bytes);
-    record_pending(kind, dir, false, buf, bytes, peer_rank, my_slot,
-                   peer_slot,
-                   peer.ring[static_cast<std::size_t>(tag)][static_cast<std::size_t>(slot)],
-                   0, ed.encode(), flow);
+    ed.crc = payload_crc(value, src.data, p.length);
   }
-  net_->put(vcq_[static_cast<std::size_t>(my_slot)],
-            peer.vcq[static_cast<std::size_t>(peer_slot)],
-            st.send_buf.stadd(), 0,
-            peer.ring[static_cast<std::size_t>(tag)][static_cast<std::size_t>(slot)], 0,
-            bytes, ed.encode(), tofu::PutMode::kData, flow);
-  dispatch_[static_cast<std::size_t>(my_slot)].drain_tcq();
+  p.edata = ed.encode();
+  if (reliable_) {
+    std::lock_guard lock(pending_mu_);
+    PendingSend& rec =
+        pending_[static_cast<std::size_t>(kind)][static_cast<std::size_t>(dir)]
+                [ed.seq & 1U];
+    rec.valid = true;
+    rec.put = p;
+    if (!p.piggyback) {
+      if (!rec.copy.valid() || rec.copy.size() < p.length) {
+        rec.copy = utofu_->make_buffer(std::max<std::size_t>(p.length, 64));
+      }
+      if (p.length > 0) std::memcpy(rec.copy.data(), src.data, p.length);
+    }
+  }
+  const tofu::VcqId from = vcq_[static_cast<std::size_t>(p.my_slot)];
+  const tofu::VcqId into = to.vcq[static_cast<std::size_t>(p.peer_slot)];
+  if (p.piggyback) {
+    net_->put_piggyback(from, into, p.edata, tofu::PutMode::kData, p.flow);
+  } else {
+    net_->put(from, into, src.stadd, src.off, p.dst_stadd, p.dst_off,
+              p.length, p.edata, tofu::PutMode::kData, p.flow);
+  }
+  dispatch_[static_cast<std::size_t>(p.my_slot)].drain_tcq();
 }
 
-void CommP2p::put_payload(MsgKind kind, int dir, std::span<const double> payload) {
-  check_fits(payload.size());
-  DirState& st = dir_[static_cast<std::size_t>(dir)];
-  std::copy(payload.begin(), payload.end(), st.send_buf.as_doubles());
-  send_ring(kind, dir, payload.size());
+Edata CommP2p::receive(MsgKind kind, int dir, Place at) {
+  NoticeDispatcher& dispatch =
+      dispatch_[static_cast<std::size_t>(slot_of_dir_[static_cast<std::size_t>(dir)])];
+  for (;;) {
+    const Edata e = dispatch.wait(kind, dir);
+    if (!reliable_) return e;
+    // In-place data is verified where it landed before anything reads it.
+    const double* landed = nullptr;
+    if (at == Place::kRing) {
+      landed = rings_[static_cast<std::size_t>(dir)][static_cast<std::size_t>(e.slot)]
+                   .as_doubles();
+    } else if (at == Place::kPositions) {
+      landed = ctx_.atoms->x() + 3 * plan_.ghost_start(dir);
+    }
+    if (e.crc == payload_crc(e.value, landed, payload_bytes(at, e.value))) {
+      return e;
+    }
+    crc_rejects_.fetch_add(1, std::memory_order_relaxed);
+    LMP_TRACE_INSTANT(obs::TraceCat::kComm, "crc.rejected");
+    dispatch.accept_retransmit(kind, dir, e.seq);
+    send_nack(kind, dir);
+  }
 }
 
-std::span<const double> CommP2p::wait_payload(MsgKind kind, int dir,
-                                              std::uint32_t* count) {
-  const Edata e = wait_ring(kind, dir);
-  if (count != nullptr) *count = e.value;
-  const double* ring =
-      rings_[static_cast<std::size_t>(dir)][static_cast<std::size_t>(e.slot)]
-          .as_doubles();
-  return {ring, static_cast<std::size_t>(e.value)};
+std::span<const double> CommP2p::receive_ring(MsgKind kind, int dir) {
+  const Edata e = receive(kind, dir, Place::kRing);
+  return {rings_[static_cast<std::size_t>(dir)][static_cast<std::size_t>(e.slot)]
+              .as_doubles(),
+          static_cast<std::size_t>(e.value)};
+}
+
+template <class Add>
+void CommP2p::settle_reverse(MsgKind kind, const Add& add) {
+  // Send lists of different directions overlap on edge/corner owners, so
+  // with several comm threads the adds must not land in timing order —
+  // float addition does not commute bitwise. Phase A settles each
+  // payload into its per-direction staging copy in parallel; Phase B
+  // accumulates serially in canonical channel order. Single-threaded
+  // comm already receives in that order and adds inline from the ring.
+  if (opt_.comm_threads == 1) {
+    for (const int d : plan_.send_channels()) add(d, receive_ring(kind, d));
+    return;
+  }
+  for_dirs(plan_.send_channels(), [&](int d) {
+    const std::span<const double> in = receive_ring(kind, d);
+    reverse_stage_[static_cast<std::size_t>(d)].assign(in.begin(), in.end());
+  });
+  for (const int d : plan_.send_channels()) {
+    add(d, std::span<const double>(reverse_stage_[static_cast<std::size_t>(d)]));
+  }
 }
 
 void CommP2p::borders() {
@@ -376,35 +379,31 @@ void CommP2p::borders() {
   for_dirs(plan_.send_channels(), [&](int d) {
     const std::vector<int>& list = plan_.send_list(d);
     check_fits(list.size() * kBorderDoubles);
-    DirState& st = dir_[static_cast<std::size_t>(d)];
     const std::size_t n = [&] {
       const obs::TraceSpan pack_span(obs::TraceCat::kComm, "pack.border");
-      return pack_border(atoms, list, plan_.shift(d), st.send_buf.as_doubles());
+      return pack_border(atoms, list, plan_.shift(d),
+                         dir_[static_cast<std::size_t>(d)].send_buf.as_doubles());
     }();
-    send_ring(MsgKind::kBorder, d, n);
+    send(MsgKind::kBorder, d, plan_.send_peer(d), send_buffer(d), Place::kRing,
+         static_cast<std::uint32_t>(n));
   });
   for (const int d : plan_.send_channels()) {
     account(counters_, MsgKind::kBorder,
             plan_.send_list(d).size() * kBorderDoubles);
   }
 
-  // Phase B (parallel): learn each incoming count. The ring slot to read
-  // later is stashed by re-waiting below, so just collect counts first.
-  std::array<std::pair<std::uint32_t, int>, kNumDirs> incoming{};  // count, slot
+  // Phase B (parallel): receive each incoming payload. `incoming` keeps
+  // a view of the ring slot it landed in for the serial unpack below.
+  std::array<std::span<const double>, kNumDirs> incoming{};
   for_dirs(plan_.recv_channels(), [&](int u) {
-    const Edata e = wait_ring(MsgKind::kBorder, u);
-    incoming[static_cast<std::size_t>(u)] = {e.value, e.slot};
+    incoming[static_cast<std::size_t>(u)] = receive_ring(MsgKind::kBorder, u);
   });
 
   // Phase C (serial): place ghosts in deterministic direction order so
   // every comm implementation yields identical ghost indexing.
   for (const int u : plan_.recv_channels()) {
-    const auto [raw, slot] = incoming[static_cast<std::size_t>(u)];
-    const double* ring =
-        rings_[static_cast<std::size_t>(u)][static_cast<std::size_t>(slot)].as_doubles();
     const int start = atoms.ntotal();
-    const int n = unpack_border(
-        atoms, std::span<const double>(ring, static_cast<std::size_t>(raw)));
+    const int n = unpack_border(atoms, incoming[static_cast<std::size_t>(u)]);
     plan_.set_ghost_block(u, start, n);
   }
 
@@ -412,28 +411,12 @@ void CommP2p::borders() {
   // "the receiver informs the sender of the offset of ghost atoms ...
   // only an 8B value, so we use the piggyback mechanism").
   for_dirs(plan_.recv_channels(), [&](int u) {
-    const int tag = opposite(u);
-    const int my_slot = slot_of_dir_[static_cast<std::size_t>(u)];
-    const int peer_slot = slot_of_dir_[static_cast<std::size_t>(tag)];
-    const int peer_rank = plan_.recv_peer(u);
-    const RankAddresses& peer = book_->of(peer_rank);
-    Edata ed{MsgKind::kBorderAck, tag, 0,
-             static_cast<std::uint32_t>(plan_.ghost_start(u))};
-    const std::uint64_t flow = next_flow();
-    if (reliable_) {
-      ed.seq = next_seq(MsgKind::kBorderAck, u);
-      ed.crc = payload_crc(ed.value, nullptr, 0);
-      record_pending(MsgKind::kBorderAck, u, true, nullptr, 0, peer_rank,
-                     my_slot, peer_slot, 0, 0, ed.encode(), flow);
-    }
-    net_->put_piggyback(vcq_[static_cast<std::size_t>(my_slot)],
-                        peer.vcq[static_cast<std::size_t>(peer_slot)],
-                        ed.encode(), tofu::PutMode::kData, flow);
-    dispatch_[static_cast<std::size_t>(my_slot)].drain_tcq();
+    send(MsgKind::kBorderAck, u, plan_.recv_peer(u), Src{}, Place::kPiggyback,
+         static_cast<std::uint32_t>(plan_.ghost_start(u)));
   });
   for_dirs(plan_.send_channels(), [&](int d) {
-    const Edata e = wait_piggyback(MsgKind::kBorderAck, d);
-    dir_[static_cast<std::size_t>(d)].remote_offset = e.value;
+    dir_[static_cast<std::size_t>(d)].remote_offset =
+        receive(MsgKind::kBorderAck, d, Place::kPiggyback).value;
   });
 }
 
@@ -443,7 +426,7 @@ void CommP2p::forward_positions() {
 }
 
 void CommP2p::forward_begin() {
-  md::Atoms& atoms = *ctx_.atoms;
+  const double* x = ctx_.atoms->x();
 
   // Direct writes into the peer's position array are only safe when the
   // reverse stage paces the sender: with Newton's law on, a rank cannot
@@ -454,60 +437,21 @@ void CommP2p::forward_begin() {
   // positions mid-pair-stage — those messages must go through the
   // round-robin rings instead (at most 2 in flight per direction, well
   // under the 4-slot depth).
-  if (!ctx_.newton) {
-    double* x = atoms.x();
-    for_dirs(plan_.send_channels(), [&](int d) {
-      const std::vector<int>& list = plan_.send_list(d);
-      check_fits(list.size() * kPositionDoubles);
-      DirState& st = dir_[static_cast<std::size_t>(d)];
-      const std::size_t n = [&] {
-        const obs::TraceSpan pack_span(obs::TraceCat::kComm, "pack.forward");
-        return pack_positions(x, list, plan_.shift(d), st.send_buf.as_doubles());
-      }();
-      send_ring(MsgKind::kForward, d, n);
-    });
-    for (const int d : plan_.send_channels()) {
-      account(counters_, MsgKind::kForward,
-              plan_.send_list(d).size() * kPositionDoubles);
-    }
-    return;
-  }
-
+  const Place dst = ctx_.newton ? Place::kPositions : Place::kRing;
   for_dirs(plan_.send_channels(), [&](int d) {
     const std::vector<int>& list = plan_.send_list(d);
     check_fits(list.size() * kPositionDoubles);
-    DirState& st = dir_[static_cast<std::size_t>(d)];
-    // Pack shifted positions, then write them *directly* into the peer's
-    // position array at the acked ghost offset (Fig. 9a) — no receive
-    // buffer, no unpack on the far side.
-    double* out = st.send_buf.as_doubles();
-    const std::size_t w = [&] {
+    // Pack shifted positions; with Newton they are then written
+    // *directly* into the peer's position array at the acked ghost
+    // offset (Fig. 9a) — no receive buffer, no unpack on the far side.
+    const std::size_t n = [&] {
       const obs::TraceSpan pack_span(obs::TraceCat::kComm, "pack.forward");
-      return pack_positions(atoms.x(), list, plan_.shift(d), out);
+      return pack_positions(x, list, plan_.shift(d),
+                            dir_[static_cast<std::size_t>(d)].send_buf.as_doubles());
     }();
-    const int tag = opposite(d);
-    const int my_slot = slot_of_dir_[static_cast<std::size_t>(d)];
-    const int peer_slot = slot_of_dir_[static_cast<std::size_t>(tag)];
-    const int peer_rank = plan_.send_peer(d);
-    const RankAddresses& peer = book_->of(peer_rank);
-    const std::uint64_t bytes = w * sizeof(double);
-    const std::uint64_t dst_off =
-        static_cast<std::uint64_t>(st.remote_offset) * 3 * sizeof(double);
-    Edata ed{MsgKind::kForward, tag, 0,
-             static_cast<std::uint32_t>(list.size())};
-    const std::uint64_t flow = next_flow();
-    if (reliable_) {
-      ed.seq = next_seq(MsgKind::kForward, d);
-      ed.crc = payload_crc(ed.value, out, bytes);
-      record_pending(MsgKind::kForward, d, false, out, bytes, peer_rank,
-                     my_slot, peer_slot, peer.x_stadd, dst_off, ed.encode(),
-                     flow);
-    }
-    net_->put(vcq_[static_cast<std::size_t>(my_slot)],
-              peer.vcq[static_cast<std::size_t>(peer_slot)],
-              st.send_buf.stadd(), 0, peer.x_stadd, dst_off, bytes,
-              ed.encode(), tofu::PutMode::kData, flow);
-    dispatch_[static_cast<std::size_t>(my_slot)].drain_tcq();
+    // A ring message counts doubles; an in-place one counts atoms.
+    send(MsgKind::kForward, d, plan_.send_peer(d), send_buffer(d), dst,
+         static_cast<std::uint32_t>(dst == Place::kRing ? n : list.size()));
   });
   for (const int d : plan_.send_channels()) {
     account(counters_, MsgKind::kForward,
@@ -516,41 +460,21 @@ void CommP2p::forward_begin() {
 }
 
 void CommP2p::complete_forward_dir(int u) {
-  md::Atoms& atoms = *ctx_.atoms;
-
   if (!ctx_.newton) {
-    std::uint32_t n = 0;
-    const std::span<const double> in = wait_payload(MsgKind::kForward, u, &n);
-    if (static_cast<int>(n) != plan_.ghost_count(u) * 3) {
+    const std::span<const double> in = receive_ring(MsgKind::kForward, u);
+    if (static_cast<int>(in.size()) != plan_.ghost_count(u) * 3) {
       throw std::logic_error("forward ghost count changed since borders()");
     }
-    unpack_positions(atoms.x(), plan_.ghost_start(u), in);
+    unpack_positions(ctx_.atoms->x(), plan_.ghost_start(u), in);
     return;
   }
 
   // The data lands in place; we only consume the arrival notice — but
   // under fault injection the landed bytes are CRC-verified against the
   // descriptor before the pair stage may read them.
-  const int slot = slot_of_dir_[static_cast<std::size_t>(u)];
-  for (;;) {
-    const Edata e =
-        dispatch_[static_cast<std::size_t>(slot)].wait(MsgKind::kForward, u);
-    if (reliable_) {
-      const double* region = atoms.x() + 3 * plan_.ghost_start(u);
-      const std::uint64_t bytes =
-          static_cast<std::uint64_t>(e.value) * 3 * sizeof(double);
-      if (e.crc != payload_crc(e.value, region, bytes)) {
-        crc_rejects_.fetch_add(1, std::memory_order_relaxed);
-        dispatch_[static_cast<std::size_t>(slot)].accept_retransmit(
-            MsgKind::kForward, u, e.seq);
-        send_nack(MsgKind::kForward, u);
-        continue;
-      }
-    }
-    if (static_cast<int>(e.value) != plan_.ghost_count(u)) {
-      throw std::logic_error("forward ghost count changed since borders()");
-    }
-    break;
+  if (static_cast<int>(receive(MsgKind::kForward, u, Place::kPositions).value) !=
+      plan_.ghost_count(u)) {
+    throw std::logic_error("forward ghost count changed since borders()");
   }
 }
 
@@ -559,92 +483,48 @@ void CommP2p::forward_complete(int ch) { complete_forward_dir(ch); }
 void CommP2p::reverse_forces() {
   if (!ctx_.newton) return;  // full lists never accumulate ghost forces
   md::Atoms& atoms = *ctx_.atoms;
-  const RankAddresses& mine = book_->of(ctx_.rank);
+  const tofu::Stadd f_stadd = book_->of(ctx_.rank).f_stadd;
 
   // Send: the ghost block of the force array is contiguous, so the put
   // reads straight out of the registered array — zero-copy (Fig. 9b).
   for_dirs(plan_.recv_channels(), [&](int u) {
-    DirState& st = dir_[static_cast<std::size_t>(u)];
-    const int ghost_start = plan_.ghost_start(u);
-    const int ghost_count = plan_.ghost_count(u);
-    const int tag = opposite(u);
-    const int slot = st.ring_slot_out++ % kRingSlots;
-    const int my_slot = slot_of_dir_[static_cast<std::size_t>(u)];
-    const int peer_slot = slot_of_dir_[static_cast<std::size_t>(tag)];
-    const int peer_rank = plan_.recv_peer(u);
-    const RankAddresses& peer = book_->of(peer_rank);
-    const auto bytes = static_cast<std::uint64_t>(ghost_count) * 3 * sizeof(double);
-    const std::uint64_t src_off =
-        static_cast<std::uint64_t>(ghost_start) * 3 * sizeof(double);
-    Edata ed{MsgKind::kReverse, tag, slot,
-             static_cast<std::uint32_t>(ghost_count * 3)};
-    const std::uint64_t flow = next_flow();
-    if (reliable_) {
-      ed.seq = next_seq(MsgKind::kReverse, u);
-      ed.crc = payload_crc(ed.value, atoms.f() + 3 * ghost_start, bytes);
-      record_pending(MsgKind::kReverse, u, false,
-                     atoms.f() + 3 * ghost_start, bytes, peer_rank, my_slot,
-                     peer_slot,
-                     peer.ring[static_cast<std::size_t>(tag)][static_cast<std::size_t>(slot)],
-                     0, ed.encode(), flow);
-    }
-    net_->put(vcq_[static_cast<std::size_t>(my_slot)],
-              peer.vcq[static_cast<std::size_t>(peer_slot)],
-              mine.f_stadd, src_off,
-              peer.ring[static_cast<std::size_t>(tag)][static_cast<std::size_t>(slot)], 0,
-              bytes, ed.encode(), tofu::PutMode::kData, flow);
-    dispatch_[static_cast<std::size_t>(my_slot)].drain_tcq();
+    const int start = plan_.ghost_start(u);
+    const Src ghosts{f_stadd,
+                     static_cast<std::uint64_t>(start) * 3 * sizeof(double),
+                     atoms.f() + 3 * start};
+    send(MsgKind::kReverse, u, plan_.recv_peer(u), ghosts, Place::kRing,
+         static_cast<std::uint32_t>(plan_.ghost_count(u) * 3));
   });
   for (const int u : plan_.recv_channels()) {
     account(counters_, MsgKind::kReverse,
             static_cast<std::size_t>(plan_.ghost_count(u)) * 3);
   }
 
-  // Receive: unpack-add into the atoms we sent out as ghosts. Send
-  // lists of different directions overlap on edge/corner owners, so
-  // with several comm threads the adds must not land in timing order —
-  // float addition does not commute bitwise. Phase A settles each
-  // payload into its per-direction staging copy in parallel; Phase B
-  // accumulates serially in canonical channel order. Single-threaded
-  // comm keeps the zero-copy inline add.
+  // Receive: unpack-add into the atoms we sent out as ghosts.
   double* f = atoms.f();
-  if (opt_.comm_threads == 1) {
-    for_dirs(plan_.send_channels(), [&](int d) {
-      std::uint32_t n = 0;
-      const std::span<const double> in = wait_payload(MsgKind::kReverse, d, &n);
-      add_forces(f, plan_.send_list(d), in);
-    });
-    return;
-  }
-  for_dirs(plan_.send_channels(), [&](int d) {
-    std::uint32_t n = 0;
-    const std::span<const double> in = wait_payload(MsgKind::kReverse, d, &n);
-    reverse_stage_[static_cast<std::size_t>(d)].assign(in.begin(), in.end());
+  settle_reverse(MsgKind::kReverse, [&](int d, std::span<const double> in) {
+    add_forces(f, plan_.send_list(d), in);
   });
-  for (const int d : plan_.send_channels()) {
-    add_forces(f, plan_.send_list(d),
-               reverse_stage_[static_cast<std::size_t>(d)]);
-  }
 }
 
 void CommP2p::forward(double* per_atom) {
   for_dirs(plan_.send_channels(), [&](int d) {
     const std::vector<int>& list = plan_.send_list(d);
     check_fits(list.size());
-    DirState& st = dir_[static_cast<std::size_t>(d)];
     const std::size_t n = [&] {
       const obs::TraceSpan pack_span(obs::TraceCat::kComm, "pack.scalar");
-      return pack_scalar(per_atom, list, st.send_buf.as_doubles());
+      return pack_scalar(per_atom, list,
+                         dir_[static_cast<std::size_t>(d)].send_buf.as_doubles());
     }();
-    send_ring(MsgKind::kScalarFwd, d, n);
+    send(MsgKind::kScalarFwd, d, plan_.send_peer(d), send_buffer(d),
+         Place::kRing, static_cast<std::uint32_t>(n));
   });
   for (const int d : plan_.send_channels()) {
     account(counters_, MsgKind::kScalarFwd, plan_.send_list(d).size());
   }
   for_dirs(plan_.recv_channels(), [&](int u) {
-    std::uint32_t n = 0;
-    const std::span<const double> in = wait_payload(MsgKind::kScalarFwd, u, &n);
-    if (static_cast<int>(n) != plan_.ghost_count(u)) {
+    const std::span<const double> in = receive_ring(MsgKind::kScalarFwd, u);
+    if (static_cast<int>(in.size()) != plan_.ghost_count(u)) {
       throw std::logic_error("scalar forward count mismatch");
     }
     unpack_scalar(per_atom, plan_.ghost_start(u), in);
@@ -653,37 +533,26 @@ void CommP2p::forward(double* per_atom) {
 
 void CommP2p::reverse_add(double* per_atom) {
   if (!ctx_.newton) return;
+  // The scalar ghost block is contiguous but not registered: copy it
+  // into the send buffer, then put from there.
   for_dirs(plan_.recv_channels(), [&](int u) {
-    const std::span<const double> payload(
-        per_atom + plan_.ghost_start(u),
-        static_cast<std::size_t>(plan_.ghost_count(u)));
-    put_payload(MsgKind::kScalarRev, u, payload);
+    const auto n = static_cast<std::size_t>(plan_.ghost_count(u));
+    check_fits(n);
+    const double* ghosts = per_atom + plan_.ghost_start(u);
+    std::copy(ghosts, ghosts + n,
+              dir_[static_cast<std::size_t>(u)].send_buf.as_doubles());
+    send(MsgKind::kScalarRev, u, plan_.recv_peer(u), send_buffer(u),
+         Place::kRing, static_cast<std::uint32_t>(n));
   });
   for (const int u : plan_.recv_channels()) {
     account(counters_, MsgKind::kScalarRev,
             static_cast<std::size_t>(plan_.ghost_count(u)));
   }
-  // Same stage-then-settle discipline as reverse_forces: canonical-order
-  // accumulation keeps the EAM rho sums bitwise reproducible under
-  // multi-threaded comm.
-  if (opt_.comm_threads == 1) {
-    for_dirs(plan_.send_channels(), [&](int d) {
-      std::uint32_t n = 0;
-      const std::span<const double> in =
-          wait_payload(MsgKind::kScalarRev, d, &n);
-      add_scalar(per_atom, plan_.send_list(d), in);
-    });
-    return;
-  }
-  for_dirs(plan_.send_channels(), [&](int d) {
-    std::uint32_t n = 0;
-    const std::span<const double> in = wait_payload(MsgKind::kScalarRev, d, &n);
-    reverse_stage_[static_cast<std::size_t>(d)].assign(in.begin(), in.end());
+  // Canonical-order accumulation keeps the EAM rho sums bitwise
+  // reproducible under multi-threaded comm.
+  settle_reverse(MsgKind::kScalarRev, [&](int d, std::span<const double> in) {
+    add_scalar(per_atom, plan_.send_list(d), in);
   });
-  for (const int d : plan_.send_channels()) {
-    add_scalar(per_atom, plan_.send_list(d),
-               reverse_stage_[static_cast<std::size_t>(d)]);
-  }
 }
 
 void CommP2p::exchange() {
@@ -709,13 +578,13 @@ void CommP2p::exchange() {
   for_dirs(all26, [&](int d) {
     const std::vector<int>& leavers = mig.by_dir[static_cast<std::size_t>(d)];
     check_fits(leavers.size() * kExchangeDoubles);
-    DirState& st = dir_[static_cast<std::size_t>(d)];
     const std::size_t n = [&] {
       const obs::TraceSpan pack_span(obs::TraceCat::kComm, "pack.exchange");
       return pack_exchange(atoms, leavers, plan_.shift(d),
-                           st.send_buf.as_doubles());
+                           dir_[static_cast<std::size_t>(d)].send_buf.as_doubles());
     }();
-    send_ring(MsgKind::kExchange, d, n);
+    send(MsgKind::kExchange, d, plan_.send_peer(d), send_buffer(d),
+         Place::kRing, static_cast<std::uint32_t>(n));
   });
   for (const int d : all26) {
     account(counters_, MsgKind::kExchange,
@@ -723,18 +592,13 @@ void CommP2p::exchange() {
   }
   atoms.remove_locals(mig.gone);
 
-  // Collect counts in parallel, append serially (deterministic order).
-  std::array<std::pair<std::uint32_t, int>, kNumDirs> incoming{};
+  // Receive in parallel, append serially (deterministic order).
+  std::array<std::span<const double>, kNumDirs> incoming{};
   for_dirs(all26, [&](int u) {
-    const Edata e = wait_ring(MsgKind::kExchange, u);
-    incoming[static_cast<std::size_t>(u)] = {e.value, e.slot};
+    incoming[static_cast<std::size_t>(u)] = receive_ring(MsgKind::kExchange, u);
   });
   for (const int u : all26) {
-    const auto [raw, slot] = incoming[static_cast<std::size_t>(u)];
-    const double* ring =
-        rings_[static_cast<std::size_t>(u)][static_cast<std::size_t>(slot)].as_doubles();
-    unpack_exchange(
-        atoms, std::span<const double>(ring, static_cast<std::size_t>(raw)));
+    unpack_exchange(atoms, incoming[static_cast<std::size_t>(u)]);
   }
 }
 

@@ -33,9 +33,6 @@ struct P2pOptions {
   bool use_border_bins = true;
   /// Size/hop-aware thread assignment (Fig. 10) vs plain round-robin.
   bool balanced_assignment = true;
-  /// Timeouts/backoff of the reliability protocol (used only when the
-  /// network has a fault injector attached).
-  ReliabilityParams reliability{};
 };
 
 /// Peer-to-peer ghost communication over uTofu one-sided primitives —
@@ -57,6 +54,12 @@ struct P2pOptions {
 /// send buffers (zero-copy RDMA). This class contributes only transport
 /// and scheduling: VCQ striping, ring slots, piggyback acks, and the
 /// reliability protocol.
+///
+/// Every data-plane message is one uTofu put with a descriptor, whatever
+/// its destination (Sec. 3.4, Fig. 9): a ring slot, the peer's position
+/// array, or nothing at all (a piggyback). All of them leave through
+/// send() and are taken through receive(), so sequencing, CRC, pending
+/// copies, NACKs and trace instants are written once for every kind.
 ///
 /// With comm_threads > 1, directions are assigned to pool threads by the
 /// load balancer and each thread drives its own VCQ (one per TNI) —
@@ -132,6 +135,44 @@ class CommP2p final : public Comm {
     tofu::RegisteredBuffer send_buf;
   };
 
+  /// Where a data-plane message lands at the receiver.
+  enum class Place : std::uint8_t {
+    kRing,       ///< the channel's next round-robin ring slot
+    kPositions,  ///< the peer's position array at the acked ghost offset
+    kPiggyback,  ///< nowhere: the 8-byte descriptor value is the message
+  };
+
+  /// Payload bytes behind descriptor value `value` landing at `at`: ring
+  /// values count doubles, in-place position values count atoms.
+  static std::uint64_t payload_bytes(Place at, std::uint32_t value) {
+    if (at == Place::kPiggyback) return 0;
+    return std::uint64_t{value} * (at == Place::kPositions ? 3 : 1) *
+           sizeof(double);
+  }
+
+  /// Registered source of a put: (stadd, off) for the fabric, `data` the
+  /// host view of the same bytes for the CRC and the pending copy.
+  struct Src {
+    tofu::Stadd stadd = 0;
+    std::uint64_t off = 0;
+    const double* data = nullptr;
+  };
+
+  /// Everything a put needs besides its source bytes. send() builds one
+  /// per message and issues the put from it; under reliability the same
+  /// record becomes the pending entry a replay is issued from.
+  struct PutDesc {
+    std::uint64_t edata = 0;      ///< full encoded descriptor word
+    int peer = -1;
+    int my_slot = 0;              ///< vcq_ index the original went out on
+    int peer_slot = 0;            ///< peer vcq index it targeted
+    bool piggyback = false;
+    tofu::Stadd dst_stadd = 0;
+    std::uint64_t dst_off = 0;
+    std::uint64_t length = 0;     ///< payload bytes
+    std::uint64_t flow = 0;       ///< trace flow id — replays chain onto it
+  };
+
   /// Sender-side replay state for one message of a (kind, direction)
   /// channel, with its payload captured in a registered copy so a
   /// retransmit writes exactly the original bytes even after the live
@@ -140,15 +181,7 @@ class CommP2p final : public Comm {
   /// seq parity.
   struct PendingSend {
     bool valid = false;
-    bool piggyback = false;
-    std::uint64_t edata = 0;      ///< full encoded descriptor word
-    int peer = -1;
-    int my_slot = 0;              ///< vcq_ index the original went out on
-    int peer_slot = 0;            ///< peer vcq index it targeted
-    tofu::Stadd dst_stadd = 0;
-    std::uint64_t dst_off = 0;
-    std::uint64_t length = 0;     ///< payload bytes
-    std::uint64_t flow = 0;       ///< trace flow id — replays chain onto it
+    PutDesc put;
     tofu::RegisteredBuffer copy;
   };
 
@@ -159,22 +192,38 @@ class CommP2p final : public Comm {
   template <class Fn>
   void for_dirs(const std::vector<int>& dirs, const Fn& fn);
 
-  /// Receive side of the forward exchange for one direction: dispatcher
-  /// wait (+ CRC/NACK under reliability) and ghost-count check; ring
-  /// unpack on the non-Newton path.
+  /// Receive side of the forward exchange for one direction: verified
+  /// wait and ghost-count check; ring unpack on the non-Newton path.
   void complete_forward_dir(int u);
 
   /// Throws when a payload of `ndoubles` cannot fit the preregistered
   /// rings — checked *before* packing into the registered send buffer.
   void check_fits(std::size_t ndoubles) const;
-  /// Announce-and-put the first `ndoubles` of dir's send buffer (already
-  /// packed by a kernel) into the peer's ring. The zero-copy send path.
-  void send_ring(MsgKind kind, int dir, std::size_t ndoubles);
-  /// Copying convenience over send_ring for payloads that are not packed
-  /// into the send buffer (contiguous scalar ghost blocks).
-  void put_payload(MsgKind kind, int dir, std::span<const double> payload);
-  std::span<const double> wait_payload(MsgKind kind, int dir,
-                                       std::uint32_t* count);
+  /// dir's registered send buffer as a put source (the pack kernels'
+  /// zero-copy staging area).
+  Src send_buffer(int dir) const {
+    const tofu::RegisteredBuffer& b = dir_[static_cast<std::size_t>(dir)].send_buf;
+    return {b.stadd(), 0, b.as_doubles()};
+  }
+  /// The one originating send: put `value` (and, unless `dst` is a
+  /// piggyback, its payload read from `src`) on channel (kind, dir)
+  /// toward `peer`. Stamps seq + CRC and keeps the pending copy under
+  /// reliability, then drains the local completion.
+  void send(MsgKind kind, int dir, int peer, const Src& src, Place dst,
+            std::uint32_t value);
+  /// The one verified receive: dispatcher wait for (kind, dir), then —
+  /// under reliability — CRC over the bytes that landed at `at`; a bad
+  /// copy is counted, traced, re-admitted and NACKed until a clean one
+  /// arrives.
+  Edata receive(MsgKind kind, int dir, Place at);
+  /// receive() of a ring payload, as a view of the slot it landed in.
+  std::span<const double> receive_ring(MsgKind kind, int dir);
+  /// Reverse reduction of (kind) payloads over the send channels:
+  /// add(d, payload) runs in canonical channel order. One comm thread
+  /// adds inline from the ring (zero-copy); a pool stages each payload
+  /// in parallel, then adds serially so the float sums reproduce.
+  template <class Add>
+  void settle_reverse(MsgKind kind, const Add& add);
 
   // --- reliability protocol -------------------------------------------
   std::uint8_t next_seq(MsgKind kind, int dir) {
@@ -190,21 +239,11 @@ class CommP2p final : public Comm {
     return (static_cast<std::uint64_t>(ctx_.rank + 1) << 32) |
            (flow_seq_.fetch_add(1, std::memory_order_relaxed) + 1);
   }
-  void record_pending(MsgKind kind, int dir, bool piggyback,
-                      const void* payload, std::uint64_t bytes, int peer,
-                      int my_slot, int peer_slot, tofu::Stadd dst_stadd,
-                      std::uint64_t dst_off, std::uint64_t edata,
-                      std::uint64_t flow);
   /// NACK the sender of the (kind, dir) channel this rank receives on.
   void send_nack(MsgKind kind, int dir);
   /// Replay message `seq` of (kind, dir) iff it is still pending.
   void serve_retransmit(MsgKind kind, std::uint8_t seq, int dir);
   void progress_loop();
-  /// Dispatcher wait + CRC verification over the ring payload; rejects
-  /// and NACKs until a clean copy arrives.
-  Edata wait_ring(MsgKind kind, int dir);
-  /// Same for piggyback-only channels (CRC over the value alone).
-  Edata wait_piggyback(MsgKind kind, int dir);
 
   tofu::Network* net_;
   AddressBook* book_;

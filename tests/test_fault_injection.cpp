@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <cmath>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -9,6 +8,7 @@
 
 #include "comm/dispatcher.h"
 #include "comm/msg_codec.h"
+#include "obs/tracer.h"
 #include "sim/simulation.h"
 #include "tofu/fault.h"
 #include "tofu/network.h"
@@ -512,9 +512,6 @@ sim::SimOptions chaos_opts() {
   o.config = md::SimConfig::eam_copper();
   o.cells = {5, 5, 5};
   o.rank_grid = {2, 1, 1};
-  // Single comm thread: the fine-grained pool's reverse unpack is not
-  // bitwise deterministic (pre-existing FP reduction race), so bitwise
-  // chaos assertions use the coarse 6-TNI variant.
   o.comm = "6tni_p2p";
   o.thermo_every = 5;
   return o;
@@ -634,22 +631,53 @@ TEST(ChaosSweep, TniDownRestripesAndMatches) {
 }
 
 TEST(ChaosSweep, ParallelVariantSurvivesFaults) {
-  // The fine-grained pool variant is not bitwise reproducible even when
-  // clean (concurrent reverse-force accumulation), so here chaos only
-  // has to converge to the same physics.
+  // The fine-grained pool stages its reverse payloads and adds them in
+  // canonical channel order, so it reproduces bitwise under faults too.
   sim::SimOptions o = chaos_opts();
   o.comm = "opt";
   const auto clean = run_simulation(o, kChaosSteps);
   o.faults.drop_rate = 0.02;
   o.faults.duplicate_rate = 0.1;
   const auto chaos = run_simulation(o, kChaosSteps);
-  ASSERT_EQ(clean.thermo.size(), chaos.thermo.size());
-  for (std::size_t i = 0; i < clean.thermo.size(); ++i) {
-    EXPECT_NEAR(clean.thermo[i].state.total(), chaos.thermo[i].state.total(),
-                1e-6 * std::abs(clean.thermo[i].state.total()));
+  expect_bitwise_equal(clean, chaos);
+  ASSERT_EQ(clean.atoms.size(), chaos.atoms.size());
+  for (std::size_t i = 0; i < clean.atoms.size(); ++i) {
+    const sim::AtomState& a = clean.atoms[i];
+    const sim::AtomState& b = chaos.atoms[i];
+    EXPECT_EQ(a.tag, b.tag);
+    EXPECT_EQ(std::memcmp(&a.pos, &b.pos, sizeof(a.pos)), 0) << "tag " << a.tag;
+    EXPECT_EQ(std::memcmp(&a.vel, &b.vel, sizeof(a.vel)), 0) << "tag " << a.tag;
   }
   EXPECT_GT(chaos.health.notices_dropped + chaos.health.notices_duplicated,
             0u);
+}
+
+TEST(ChaosSweep, CrcRejectInstantsMatchCounter) {
+  // Every counted CRC reject — ring payload, piggyback or in-place
+  // forward block — emits exactly one "crc.rejected" trace instant.
+  if (!obs::trace_compiled_in()) GTEST_SKIP() << "built with LMP_TRACE=OFF";
+  obs::Tracer::instance().reset();
+  obs::set_trace_categories(static_cast<std::uint32_t>(obs::TraceCat::kComm));
+  struct CatsOff {
+    ~CatsOff() {
+      obs::set_trace_categories(0);
+      obs::Tracer::instance().reset();
+    }
+  } guard;
+
+  sim::SimOptions o = chaos_opts();
+  o.faults.corrupt_rate = 0.03;
+  const auto chaos = run_simulation(o, 10);
+  ASSERT_EQ(obs::Tracer::instance().events_dropped(), 0u);
+  std::uint64_t instants = 0;
+  for (const obs::CollectedEvent& e : obs::Tracer::instance().snapshot_events()) {
+    if (e.event.kind == obs::TraceEvent::kInstant &&
+        std::strcmp(e.event.name, "crc.rejected") == 0) {
+      ++instants;
+    }
+  }
+  EXPECT_GT(chaos.health.crc_rejects, 0u);
+  EXPECT_EQ(instants, chaos.health.crc_rejects);
 }
 
 }  // namespace
