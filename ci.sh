@@ -767,14 +767,15 @@ echo "=== pass 2b: TSan build + concurrency test slice ==="
 # sampler/series/SLO/stream machinery (admission-only servers), the
 # split force path's unit tests (footprints, the sparse join that drains
 # and re-zeroes each group's private buffer, abandoned evaluations), and
-# the EAM and LJ (ref, 6tni_p2p) executor comparisons: real simulations
-# whose async runs put the step DAG's force groups, sparse joins,
-# mid-pair joins and forward waits on the pool (a few seconds under
-# TSan).
+# the EAM and LJ (ref, 6tni_p2p, utofu_3stage) executor comparisons:
+# real simulations whose async runs put the step DAG's force groups,
+# sparse joins, mid-pair joins and forward waits on the pool (a few
+# seconds under TSan). utofu_3stage's receives are views of the ring
+# slots a peer's put writes.
 cmake -B build-ci-tsan -S . -DLMP_WERROR=ON -DLMP_SANITIZE=thread
 cmake --build build-ci-tsan -j "${JOBS}" --target lmp_tests
 ctest --test-dir build-ci-tsan --output-on-failure -j "${JOBS}" \
-    -R 'TaskGraph|SpinThreadPool|ForkJoin|NoticeDispatcher|TimeSeries|SloAccountant|TelemetrySampler|StreamWatch|AllocTracker|Network|RegisteredBuffer|UtofuContext|ForceGroups|LjSplit|EamSplit|Executor\..*Eam|Executor\.AsyncMatchesBarrierBitwiseLj(Ref|P2p)'
+    -R 'TaskGraph|SpinThreadPool|ForkJoin|NoticeDispatcher|TimeSeries|SloAccountant|TelemetrySampler|StreamWatch|AllocTracker|Network|RegisteredBuffer|UtofuContext|ForceGroups|LjSplit|EamSplit|Executor\..*Eam|Executor\.AsyncMatchesBarrierBitwiseLj(Ref|P2p|Utofu3Stage)'
 run_newton_off_stress build-ci-tsan 3
 
 echo "=== pass 3: LMP_TRACE=OFF LMP_ALLOC_TRACE=OFF build (instrumentation compiles out) ==="

@@ -1,6 +1,9 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "comm/health_monitor.h"
@@ -107,6 +110,18 @@ class Comm : public md::GhostDataComm {
   virtual CommHealthReport health() const { return {}; }
 
  protected:
+  /// Throws std::logic_error, naming this rank and `channel`, unless a
+  /// forward payload of `doubles` fills the channel's `ghosts`-atom block
+  /// exactly as borders() placed it.
+  void check_forward_count(int channel, std::size_t doubles, int ghosts) const {
+    if (doubles == 3 * static_cast<std::size_t>(ghosts)) return;
+    throw std::logic_error(
+        "rank " + std::to_string(ctx_.rank) + " channel " +
+        std::to_string(channel) + ": forward ghost count changed since "
+        "borders() (" + std::to_string(doubles) + " doubles for " +
+        std::to_string(ghosts) + " ghost atoms)");
+  }
+
   CommContext ctx_;
   CommCounters counters_;
 };

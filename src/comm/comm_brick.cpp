@@ -1,7 +1,5 @@
 #include "comm/comm_brick.h"
 
-#include <algorithm>
-#include <cstring>
 #include <stdexcept>
 
 #include "comm/comm_factory.h"
@@ -13,41 +11,36 @@ namespace lmp::comm {
 // MpiBrickTransport
 // ---------------------------------------------------------------------
 
-void MpiBrickTransport::setup(const CommContext& ctx, std::size_t) {
+void MpiBrickTransport::setup(const CommContext& ctx,
+                              std::size_t max_channel_doubles) {
   rank_ = ctx.rank;
+  out_.assign(max_channel_doubles, 0.0);
+  in_.reserve(max_channel_doubles);
 }
 
-std::vector<double> MpiBrickTransport::sendrecv(MsgKind kind, int channel,
-                                                int dst, int src,
-                                                std::span<const double> payload) {
+std::span<const double> MpiBrickTransport::sendrecv(MsgKind kind, int channel,
+                                                    int dst, int src,
+                                                    std::size_t n) {
   const int tag = static_cast<int>(kind) * 8 + channel;
-  const auto bytes = std::as_bytes(payload);
-  const std::vector<std::byte> raw = world_->sendrecv(rank_, dst, src, tag, bytes);
-  std::vector<double> out(raw.size() / sizeof(double));
-  // Empty payloads have null data(); memcpy needs valid pointers anyway.
-  if (!raw.empty()) std::memcpy(out.data(), raw.data(), raw.size());
-  return out;
+  const std::vector<std::byte> raw = world_->sendrecv(
+      rank_, dst, src, tag, std::as_bytes(send_buffer().first(n)));
+  return land_doubles(raw, in_);
 }
 
 // ---------------------------------------------------------------------
 // UtofuBrickTransport
 // ---------------------------------------------------------------------
 
-UtofuBrickTransport::UtofuBrickTransport(tofu::Network& net, AddressBook& book,
-                                         int tni)
-    : net_(&net), book_(&book), tni_(tni) {}
-
 void UtofuBrickTransport::setup(const CommContext& ctx,
                                 std::size_t max_channel_doubles) {
-  rank_ = ctx.rank;
   ring_doubles_ = max_channel_doubles + 1;  // +1 for the length prefix
-  utofu_ = std::make_unique<tofu::UtofuContext>(*net_, rank_);
+  utofu_ = std::make_unique<tofu::UtofuContext>(*net_, ctx.rank);
 
-  // Coarse-grained layout (Sec. 3.2): one VCQ on one TNI per rank.
-  const tofu::VcqId vcq = utofu_->create_vcq(tni_, /*cq=*/0);
+  // Coarse-grained layout (Sec. 3.2): one VCQ on TNI 0 per rank.
+  const tofu::VcqId vcq = utofu_->create_vcq(/*tni=*/0, /*cq=*/0);
   dispatcher_ = NoticeDispatcher(net_, vcq);
 
-  RankAddresses& mine = book_->mine(rank_);
+  RankAddresses& mine = book_->mine(ctx.rank);
   mine.vcq[0] = vcq;
   mine.ring_bytes = ring_doubles_ * sizeof(double);
 
@@ -62,26 +55,22 @@ void UtofuBrickTransport::setup(const CommContext& ctx,
   }
 }
 
-std::vector<double> UtofuBrickTransport::sendrecv(
-    MsgKind kind, int channel, int dst, int src,
-    std::span<const double> payload) {
+std::span<const double> UtofuBrickTransport::sendrecv(MsgKind kind,
+                                                      int channel, int dst,
+                                                      int src, std::size_t n) {
   (void)src;  // the incoming channel id identifies the partner
-  if (payload.size() + 1 > ring_doubles_) {
-    throw std::length_error("brick payload exceeds pre-registered ring size");
-  }
 
-  // Message combine (Sec. 3.5.1): first double carries the length, so the
-  // receiver never needs a separate size message.
-  double* out = send_buf_.as_doubles();
-  out[0] = static_cast<double>(payload.size());
-  std::copy(payload.begin(), payload.end(), out + 1);
+  // Message combine (Sec. 3.5.1): the payload already sits behind the
+  // first double, which carries its length, so the receiver never needs
+  // a separate size message.
+  send_buf_.as_doubles()[0] = static_cast<double>(n);
 
   const int slot = ring_next_[static_cast<std::size_t>(channel)]++ % kRingSlots;
   const RankAddresses& peer = book_->of(dst);
-  const Edata ed{kind, channel, slot, static_cast<std::uint32_t>(payload.size())};
+  const Edata ed{kind, channel, slot, static_cast<std::uint32_t>(n)};
   net_->put(dispatcher_.vcq(), peer.vcq[0], send_buf_.stadd(), 0,
             peer.ring[static_cast<std::size_t>(channel)][static_cast<std::size_t>(slot)],
-            0, (payload.size() + 1) * sizeof(double), ed.encode());
+            0, (n + 1) * sizeof(double), ed.encode());
   dispatcher_.drain_tcq();
 
   const Edata in = dispatcher_.wait(kind, channel);
@@ -91,7 +80,7 @@ std::vector<double> UtofuBrickTransport::sendrecv(
   if (count != in.value) {
     throw std::logic_error("length prefix disagrees with descriptor");
   }
-  return {ring + 1, ring + 1 + count};
+  return {ring + 1, count};
 }
 
 // ---------------------------------------------------------------------
@@ -119,73 +108,68 @@ void CommBrick::borders() {
     if (side_of(c) == 0) scan_end = atoms.ntotal();
     plan_.select_staged(c, atoms, scan_end);
 
-    const std::vector<double> payload =
-        pack_border(atoms, plan_.send_list(c), plan_.shift(c));
-    const std::vector<double> in = transport_->sendrecv(
-        MsgKind::kBorder, c, plan_.send_peer(c), plan_.recv_peer(c), payload);
-    account(counters_, MsgKind::kBorder, payload.size());
+    const std::size_t n = pack_border(atoms, plan_.send_list(c), plan_.shift(c),
+                                      transport_->send_buffer());
+    const std::span<const double> in = transport_->sendrecv(
+        MsgKind::kBorder, c, plan_.send_peer(c), plan_.recv_peer(c), n);
+    account(counters_, MsgKind::kBorder, n);
 
     const int start = atoms.ntotal();
-    const int n = unpack_border(atoms, in);
-    plan_.set_ghost_block(c, start, n);
+    const int added = unpack_border(atoms, in);
+    plan_.set_ghost_block(c, start, added);
   }
 }
 
 void CommBrick::forward_positions() {
-  md::Atoms& atoms = *ctx_.atoms;
-  double* x = atoms.x();
+  double* x = ctx_.atoms->x();
   for (int c = 0; c < 6; ++c) {
-    const std::vector<double> payload =
-        pack_positions(x, plan_.send_list(c), plan_.shift(c));
-    const std::vector<double> in = transport_->sendrecv(
-        MsgKind::kForward, c, plan_.send_peer(c), plan_.recv_peer(c), payload);
-    account(counters_, MsgKind::kForward, payload.size());
-    if (static_cast<int>(in.size()) != 3 * plan_.ghost_count(c)) {
-      throw std::logic_error("forward ghost count changed since borders()");
-    }
+    const std::size_t n = pack_positions(x, plan_.send_list(c), plan_.shift(c),
+                                         transport_->send_buffer());
+    const std::span<const double> in = transport_->sendrecv(
+        MsgKind::kForward, c, plan_.send_peer(c), plan_.recv_peer(c), n);
+    account(counters_, MsgKind::kForward, n);
+    check_forward_count(c, in.size(), plan_.ghost_count(c));
     unpack_positions(x, plan_.ghost_start(c), in);
   }
 }
 
 void CommBrick::reverse_forces() {
-  md::Atoms& atoms = *ctx_.atoms;
-  double* f = atoms.f();
+  double* f = ctx_.atoms->f();
   // Walk the stages backwards so edge/corner contributions cascade home.
+  // Roles swap in reverse: I send my ghost forces to the rank I
+  // *received* ghosts from.
   for (int c = 5; c >= 0; --c) {
-    const int base = plan_.ghost_start(c);
-    const int n = plan_.ghost_count(c);
-    // Roles swap in reverse: I send my ghost forces to the rank I
-    // *received* ghosts from.
-    const std::span<const double> payload(f + 3 * base,
-                                          static_cast<std::size_t>(3) * n);
-    const std::vector<double> in = transport_->sendrecv(
-        MsgKind::kReverse, c, plan_.recv_peer(c), plan_.send_peer(c), payload);
-    account(counters_, MsgKind::kReverse, payload.size());
+    const std::size_t n = pack_block(
+        {f + 3 * plan_.ghost_start(c),
+         static_cast<std::size_t>(3) * plan_.ghost_count(c)},
+        transport_->send_buffer());
+    const std::span<const double> in = transport_->sendrecv(
+        MsgKind::kReverse, c, plan_.recv_peer(c), plan_.send_peer(c), n);
+    account(counters_, MsgKind::kReverse, n);
     add_forces(f, plan_.send_list(c), in);
   }
 }
 
 void CommBrick::forward(double* per_atom) {
   for (int c = 0; c < 6; ++c) {
-    const std::vector<double> payload =
-        pack_scalar(per_atom, plan_.send_list(c));
-    const std::vector<double> in = transport_->sendrecv(
-        MsgKind::kScalarFwd, c, plan_.send_peer(c), plan_.recv_peer(c),
-        payload);
-    account(counters_, MsgKind::kScalarFwd, payload.size());
+    const std::size_t n =
+        pack_scalar(per_atom, plan_.send_list(c), transport_->send_buffer());
+    const std::span<const double> in = transport_->sendrecv(
+        MsgKind::kScalarFwd, c, plan_.send_peer(c), plan_.recv_peer(c), n);
+    account(counters_, MsgKind::kScalarFwd, n);
     unpack_scalar(per_atom, plan_.ghost_start(c), in);
   }
 }
 
 void CommBrick::reverse_add(double* per_atom) {
   for (int c = 5; c >= 0; --c) {
-    const std::span<const double> payload(
-        per_atom + plan_.ghost_start(c),
-        static_cast<std::size_t>(plan_.ghost_count(c)));
-    const std::vector<double> in = transport_->sendrecv(
-        MsgKind::kScalarRev, c, plan_.recv_peer(c), plan_.send_peer(c),
-        payload);
-    account(counters_, MsgKind::kScalarRev, payload.size());
+    const std::size_t n = pack_block(
+        {per_atom + plan_.ghost_start(c),
+         static_cast<std::size_t>(plan_.ghost_count(c))},
+        transport_->send_buffer());
+    const std::span<const double> in = transport_->sendrecv(
+        MsgKind::kScalarRev, c, plan_.recv_peer(c), plan_.send_peer(c), n);
+    account(counters_, MsgKind::kScalarRev, n);
     add_scalar(per_atom, plan_.send_list(c), in);
   }
 }
@@ -214,19 +198,20 @@ void CommBrick::exchange() {
     const double hi = ctx_.sub.hi[static_cast<std::size_t>(d)];
     const std::vector<int> gone = plan_.migrants_along(atoms, d);
     // Coordinates are already global (wrapped), so no shift applies.
-    const std::vector<double> payload =
-        pack_exchange(atoms, gone, util::Vec3{});
+    const std::size_t n =
+        pack_exchange(atoms, gone, util::Vec3{}, transport_->send_buffer());
     atoms.remove_locals(gone);
 
     // With 2 ranks in this dim both neighbors are the same rank: send
-    // once (LAMMPS special-cases this identically).
+    // once (LAMMPS special-cases this identically). Otherwise the same
+    // packed payload goes to both: sendrecv leaves the send buffer as it
+    // was.
     const int nsends = nprocs_d == 2 ? 1 : 2;
     for (int s = 0; s < nsends; ++s) {
       const int c = 2 * d + s;
-      const std::vector<double> in = transport_->sendrecv(
-          MsgKind::kExchange, c, plan_.send_peer(c), plan_.recv_peer(c),
-          payload);
-      account(counters_, MsgKind::kExchange, payload.size());
+      const std::span<const double> in = transport_->sendrecv(
+          MsgKind::kExchange, c, plan_.send_peer(c), plan_.recv_peer(c), n);
+      account(counters_, MsgKind::kExchange, n);
       unpack_exchange_slab(atoms, in, d, lo, hi);
     }
   }

@@ -257,12 +257,6 @@ CommHealthReport CommP2p::health() const {
 
 // --- data path ---------------------------------------------------------
 
-void CommP2p::check_fits(std::size_t ndoubles) const {
-  if (ndoubles > ring_doubles_) {
-    throw std::length_error("p2p payload exceeds pre-registered ring size");
-  }
-}
-
 inline void CommP2p::send(MsgKind kind, int dir, int peer, const Src& src,
                           Place dst, std::uint32_t value) {
   const int tag = opposite(dir);  // the receiver's view of this channel
@@ -377,12 +371,10 @@ void CommP2p::borders() {
   // and put. Counters are settled serially afterwards — the payload
   // sizes are fully determined by the send lists.
   for_dirs(plan_.send_channels(), [&](int d) {
-    const std::vector<int>& list = plan_.send_list(d);
-    check_fits(list.size() * kBorderDoubles);
     const std::size_t n = [&] {
       const obs::TraceSpan pack_span(obs::TraceCat::kComm, "pack.border");
-      return pack_border(atoms, list, plan_.shift(d),
-                         dir_[static_cast<std::size_t>(d)].send_buf.as_doubles());
+      return pack_border(atoms, plan_.send_list(d), plan_.shift(d),
+                         pack_buffer(d));
     }();
     send(MsgKind::kBorder, d, plan_.send_peer(d), send_buffer(d), Place::kRing,
          static_cast<std::uint32_t>(n));
@@ -440,14 +432,12 @@ void CommP2p::forward_begin() {
   const Place dst = ctx_.newton ? Place::kPositions : Place::kRing;
   for_dirs(plan_.send_channels(), [&](int d) {
     const std::vector<int>& list = plan_.send_list(d);
-    check_fits(list.size() * kPositionDoubles);
     // Pack shifted positions; with Newton they are then written
     // *directly* into the peer's position array at the acked ghost
     // offset (Fig. 9a) — no receive buffer, no unpack on the far side.
     const std::size_t n = [&] {
       const obs::TraceSpan pack_span(obs::TraceCat::kComm, "pack.forward");
-      return pack_positions(x, list, plan_.shift(d),
-                            dir_[static_cast<std::size_t>(d)].send_buf.as_doubles());
+      return pack_positions(x, list, plan_.shift(d), pack_buffer(d));
     }();
     // A ring message counts doubles; an in-place one counts atoms.
     send(MsgKind::kForward, d, plan_.send_peer(d), send_buffer(d), dst,
@@ -462,9 +452,7 @@ void CommP2p::forward_begin() {
 void CommP2p::complete_forward_dir(int u) {
   if (!ctx_.newton) {
     const std::span<const double> in = receive_ring(MsgKind::kForward, u);
-    if (static_cast<int>(in.size()) != plan_.ghost_count(u) * 3) {
-      throw std::logic_error("forward ghost count changed since borders()");
-    }
+    check_forward_count(u, in.size(), plan_.ghost_count(u));
     unpack_positions(ctx_.atoms->x(), plan_.ghost_start(u), in);
     return;
   }
@@ -472,10 +460,8 @@ void CommP2p::complete_forward_dir(int u) {
   // The data lands in place; we only consume the arrival notice — but
   // under fault injection the landed bytes are CRC-verified against the
   // descriptor before the pair stage may read them.
-  if (static_cast<int>(receive(MsgKind::kForward, u, Place::kPositions).value) !=
-      plan_.ghost_count(u)) {
-    throw std::logic_error("forward ghost count changed since borders()");
-  }
+  const Edata e = receive(MsgKind::kForward, u, Place::kPositions);
+  check_forward_count(u, std::size_t{e.value} * 3, plan_.ghost_count(u));
 }
 
 void CommP2p::forward_complete(int ch) { complete_forward_dir(ch); }
@@ -509,12 +495,9 @@ void CommP2p::reverse_forces() {
 
 void CommP2p::forward(double* per_atom) {
   for_dirs(plan_.send_channels(), [&](int d) {
-    const std::vector<int>& list = plan_.send_list(d);
-    check_fits(list.size());
     const std::size_t n = [&] {
       const obs::TraceSpan pack_span(obs::TraceCat::kComm, "pack.scalar");
-      return pack_scalar(per_atom, list,
-                         dir_[static_cast<std::size_t>(d)].send_buf.as_doubles());
+      return pack_scalar(per_atom, plan_.send_list(d), pack_buffer(d));
     }();
     send(MsgKind::kScalarFwd, d, plan_.send_peer(d), send_buffer(d),
          Place::kRing, static_cast<std::uint32_t>(n));
@@ -536,11 +519,10 @@ void CommP2p::reverse_add(double* per_atom) {
   // The scalar ghost block is contiguous but not registered: copy it
   // into the send buffer, then put from there.
   for_dirs(plan_.recv_channels(), [&](int u) {
-    const auto n = static_cast<std::size_t>(plan_.ghost_count(u));
-    check_fits(n);
-    const double* ghosts = per_atom + plan_.ghost_start(u);
-    std::copy(ghosts, ghosts + n,
-              dir_[static_cast<std::size_t>(u)].send_buf.as_doubles());
+    const std::size_t n = pack_block(
+        {per_atom + plan_.ghost_start(u),
+         static_cast<std::size_t>(plan_.ghost_count(u))},
+        pack_buffer(u));
     send(MsgKind::kScalarRev, u, plan_.recv_peer(u), send_buffer(u),
          Place::kRing, static_cast<std::uint32_t>(n));
   });
@@ -576,12 +558,10 @@ void CommP2p::exchange() {
     return v;
   }();
   for_dirs(all26, [&](int d) {
-    const std::vector<int>& leavers = mig.by_dir[static_cast<std::size_t>(d)];
-    check_fits(leavers.size() * kExchangeDoubles);
     const std::size_t n = [&] {
       const obs::TraceSpan pack_span(obs::TraceCat::kComm, "pack.exchange");
-      return pack_exchange(atoms, leavers, plan_.shift(d),
-                           dir_[static_cast<std::size_t>(d)].send_buf.as_doubles());
+      return pack_exchange(atoms, mig.by_dir[static_cast<std::size_t>(d)],
+                           plan_.shift(d), pack_buffer(d));
     }();
     send(MsgKind::kExchange, d, plan_.send_peer(d), send_buffer(d),
          Place::kRing, static_cast<std::uint32_t>(n));

@@ -196,11 +196,14 @@ class CommP2p final : public Comm {
   /// wait and ghost-count check; ring unpack on the non-Newton path.
   void complete_forward_dir(int u);
 
-  /// Throws when a payload of `ndoubles` cannot fit the preregistered
-  /// rings — checked *before* packing into the registered send buffer.
-  void check_fits(std::size_t ndoubles) const;
-  /// dir's registered send buffer as a put source (the pack kernels'
-  /// zero-copy staging area).
+  /// dir's registered send buffer, sized to the rings: the pack kernels
+  /// write here (zero-copy staging) and reject a payload that would not
+  /// fit a peer's ring before writing it.
+  std::span<double> pack_buffer(int dir) {
+    return {dir_[static_cast<std::size_t>(dir)].send_buf.as_doubles(),
+            ring_doubles_};
+  }
+  /// The same buffer as a put source.
   Src send_buffer(int dir) const {
     const tofu::RegisteredBuffer& b = dir_[static_cast<std::size_t>(dir)].send_buf;
     return {b.stadd(), 0, b.as_doubles()};

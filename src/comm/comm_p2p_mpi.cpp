@@ -1,6 +1,5 @@
 #include "comm/comm_p2p_mpi.h"
 
-#include <cstring>
 #include <stdexcept>
 
 #include "comm/comm_factory.h"
@@ -11,23 +10,23 @@ namespace lmp::comm {
 CommP2pMpi::CommP2pMpi(const CommContext& ctx, minimpi::World& world)
     : Comm(ctx), world_(&world) {}
 
-void CommP2pMpi::setup() { plan_ = GhostPlan::p2p(ctx_, /*use_border_bins=*/true); }
+void CommP2pMpi::setup() {
+  plan_ = GhostPlan::p2p(ctx_, /*use_border_bins=*/true);
+  send_buf_.assign(plan_.max_payload_doubles(), 0.0);
+  recv_buf_.reserve(plan_.max_payload_doubles());
+}
 
 void CommP2pMpi::send_payload(MsgKind kind, int dir,
-                              const std::vector<double>& payload) {
+                              std::span<const double> payload) {
   world_->send(ctx_.rank, plan_.send_peer(dir), tag_for(kind, opposite(dir)),
-               std::as_bytes(std::span<const double>(payload)));
+               std::as_bytes(payload));
   account(counters_, kind, payload.size());
 }
 
-std::vector<double> CommP2pMpi::recv_payload(MsgKind kind, int dir) {
+std::span<const double> CommP2pMpi::recv_payload(MsgKind kind, int dir) {
   const std::vector<std::byte> raw =
       world_->recv(ctx_.rank, plan_.recv_peer(dir), tag_for(kind, dir));
-  std::vector<double> out(raw.size() / sizeof(double));
-  // An empty payload has null data() on both sides, and memcpy's
-  // pointers must be valid even for zero bytes.
-  if (!raw.empty()) std::memcpy(out.data(), raw.data(), raw.size());
-  return out;
+  return land_doubles(raw, recv_buf_);
 }
 
 void CommP2pMpi::borders() {
@@ -36,42 +35,38 @@ void CommP2pMpi::borders() {
   plan_.build_send_lists(atoms);
 
   for (const int d : plan_.send_channels()) {
-    send_payload(MsgKind::kBorder, d,
-                 pack_border(atoms, plan_.send_list(d), plan_.shift(d)));
+    const std::size_t n =
+        pack_border(atoms, plan_.send_list(d), plan_.shift(d), send_buf_);
+    send_payload(MsgKind::kBorder, d, std::span(send_buf_).first(n));
   }
   for (const int u : plan_.recv_channels()) {
-    const std::vector<double> in = recv_payload(MsgKind::kBorder, u);
     const int start = atoms.ntotal();
-    const int n = unpack_border(atoms, in);
+    const int n = unpack_border(atoms, recv_payload(MsgKind::kBorder, u));
     plan_.set_ghost_block(u, start, n);
   }
 }
 
 void CommP2pMpi::forward_positions() {
-  md::Atoms& atoms = *ctx_.atoms;
-  double* x = atoms.x();
+  double* x = ctx_.atoms->x();
   for (const int d : plan_.send_channels()) {
-    send_payload(MsgKind::kForward, d,
-                 pack_positions(x, plan_.send_list(d), plan_.shift(d)));
+    const std::size_t n =
+        pack_positions(x, plan_.send_list(d), plan_.shift(d), send_buf_);
+    send_payload(MsgKind::kForward, d, std::span(send_buf_).first(n));
   }
   for (const int u : plan_.recv_channels()) {
-    const std::vector<double> in = recv_payload(MsgKind::kForward, u);
-    if (static_cast<int>(in.size()) != 3 * plan_.ghost_count(u)) {
-      throw std::logic_error("forward ghost count changed since borders()");
-    }
+    const std::span<const double> in = recv_payload(MsgKind::kForward, u);
+    check_forward_count(u, in.size(), plan_.ghost_count(u));
     unpack_positions(x, plan_.ghost_start(u), in);
   }
 }
 
 void CommP2pMpi::reverse_forces() {
   if (!ctx_.newton) return;
-  md::Atoms& atoms = *ctx_.atoms;
-  double* f = atoms.f();
+  double* f = ctx_.atoms->f();
   for (const int u : plan_.recv_channels()) {
-    const std::vector<double> payload(
-        f + 3 * plan_.ghost_start(u),
-        f + 3 * (plan_.ghost_start(u) + plan_.ghost_count(u)));
-    send_payload(MsgKind::kReverse, u, payload);
+    send_payload(MsgKind::kReverse, u,
+                 {f + 3 * plan_.ghost_start(u),
+                  static_cast<std::size_t>(3) * plan_.ghost_count(u)});
   }
   for (const int d : plan_.send_channels()) {
     add_forces(f, plan_.send_list(d), recv_payload(MsgKind::kReverse, d));
@@ -80,8 +75,8 @@ void CommP2pMpi::reverse_forces() {
 
 void CommP2pMpi::forward(double* per_atom) {
   for (const int d : plan_.send_channels()) {
-    send_payload(MsgKind::kScalarFwd, d,
-                 pack_scalar(per_atom, plan_.send_list(d)));
+    const std::size_t n = pack_scalar(per_atom, plan_.send_list(d), send_buf_);
+    send_payload(MsgKind::kScalarFwd, d, std::span(send_buf_).first(n));
   }
   for (const int u : plan_.recv_channels()) {
     unpack_scalar(per_atom, plan_.ghost_start(u),
@@ -92,10 +87,9 @@ void CommP2pMpi::forward(double* per_atom) {
 void CommP2pMpi::reverse_add(double* per_atom) {
   if (!ctx_.newton) return;
   for (const int u : plan_.recv_channels()) {
-    const std::vector<double> payload(
-        per_atom + plan_.ghost_start(u),
-        per_atom + plan_.ghost_start(u) + plan_.ghost_count(u));
-    send_payload(MsgKind::kScalarRev, u, payload);
+    send_payload(MsgKind::kScalarRev, u,
+                 {per_atom + plan_.ghost_start(u),
+                  static_cast<std::size_t>(plan_.ghost_count(u))});
   }
   for (const int d : plan_.send_channels()) {
     add_scalar(per_atom, plan_.send_list(d),
@@ -109,17 +103,17 @@ void CommP2pMpi::exchange() {
     throw std::logic_error("exchange requires ghosts to be cleared");
   }
 
+  // Pack and send every direction before remove_locals: the migration
+  // indices refer to the pre-removal atom array.
   const MigrationPlan mig = plan_.classify_migrants(atoms);
-  std::array<std::vector<double>, kNumDirs> outbound;
   for (int d = 0; d < kNumDirs; ++d) {
-    outbound[static_cast<std::size_t>(d)] = pack_exchange(
-        atoms, mig.by_dir[static_cast<std::size_t>(d)], plan_.shift(d));
+    const std::size_t n =
+        pack_exchange(atoms, mig.by_dir[static_cast<std::size_t>(d)],
+                      plan_.shift(d), send_buf_);
+    send_payload(MsgKind::kExchange, d, std::span(send_buf_).first(n));
   }
   atoms.remove_locals(mig.gone);
 
-  for (int d = 0; d < kNumDirs; ++d) {
-    send_payload(MsgKind::kExchange, d, outbound[static_cast<std::size_t>(d)]);
-  }
   for (int u = 0; u < kNumDirs; ++u) {
     unpack_exchange(atoms, recv_payload(MsgKind::kExchange, u));
   }

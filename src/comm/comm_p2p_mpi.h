@@ -1,6 +1,6 @@
 #pragma once
 
-#include <array>
+#include <span>
 #include <vector>
 
 #include "comm/comm_base.h"
@@ -41,11 +41,17 @@ class CommP2pMpi final : public Comm {
   int tag_for(MsgKind kind, int receiver_dir) const {
     return static_cast<int>(kind) * 32 + receiver_dir;
   }
-  void send_payload(MsgKind kind, int dir, const std::vector<double>& payload);
-  std::vector<double> recv_payload(MsgKind kind, int dir);
+  /// Eager send: World::send copies the payload, so it may come straight
+  /// from `f`/`per_atom` or from send_buf_, reused for every direction.
+  void send_payload(MsgKind kind, int dir, std::span<const double> payload);
+  /// A view of the (kind, dir) payload in recv_buf_, valid until the next
+  /// recv_payload.
+  std::span<const double> recv_payload(MsgKind kind, int dir);
 
   minimpi::World* world_;
   GhostPlan plan_;
+  std::vector<double> send_buf_;
+  std::vector<double> recv_buf_;
 };
 
 }  // namespace lmp::comm

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <vector>
 
 namespace lmp::comm {
@@ -268,6 +269,18 @@ inline std::int64_t double_to_tag(double d) {
   std::int64_t t;
   std::memcpy(&t, &d, sizeof(t));
   return t;
+}
+
+/// Land a two-sided message's bytes in `buf`, a driver's reused receive
+/// buffer, and return them as doubles. A payload within the capacity
+/// reserved at setup allocates nothing.
+inline std::span<const double> land_doubles(std::span<const std::byte> raw,
+                                            std::vector<double>& buf) {
+  buf.resize(raw.size() / sizeof(double));
+  // An empty payload has null data(), and memcpy's pointers must be
+  // valid even for zero bytes.
+  if (!raw.empty()) std::memcpy(buf.data(), raw.data(), raw.size());
+  return buf;
 }
 
 }  // namespace lmp::comm

@@ -1,12 +1,24 @@
 #include "comm/pack_kernels.h"
 
+#include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "comm/msg_codec.h"
 
 namespace lmp::comm {
 
 namespace {
+
+/// THE buffer bound check: every pack kernel calls it before writing.
+void check_room(const char* format, std::size_t doubles, std::span<double> out) {
+  if (doubles > out.size()) {
+    throw std::length_error(std::string(format) + " payload of " +
+                            std::to_string(doubles) + " doubles exceeds the " +
+                            std::to_string(out.size()) +
+                            "-double send buffer");
+  }
+}
 
 /// THE shifted-position copy: every packed position in the comm layer
 /// goes through here, so the periodic image arithmetic is bitwise
@@ -22,38 +34,42 @@ inline double* put_shifted(const double* x, int i, const util::Vec3& shift,
 
 }  // namespace
 
-// --- pack: raw buffers --------------------------------------------------
+// --- pack ---------------------------------------------------------------
 
 std::size_t pack_border(const md::Atoms& atoms, std::span<const int> list,
-                        const util::Vec3& shift, double* out) {
+                        const util::Vec3& shift, std::span<double> out) {
+  check_room("border", list.size() * kBorderDoubles, out);
   const double* x = atoms.x();
-  double* w = out;
+  double* w = out.data();
   for (const int i : list) {
     w = put_shifted(x, i, shift, w);
     *w++ = tag_to_double(atoms.tag(i));
   }
-  return static_cast<std::size_t>(w - out);
+  return static_cast<std::size_t>(w - out.data());
 }
 
 std::size_t pack_positions(const double* x, std::span<const int> list,
-                           const util::Vec3& shift, double* out) {
-  double* w = out;
+                           const util::Vec3& shift, std::span<double> out) {
+  check_room("forward", list.size() * kPositionDoubles, out);
+  double* w = out.data();
   for (const int i : list) w = put_shifted(x, i, shift, w);
-  return static_cast<std::size_t>(w - out);
+  return static_cast<std::size_t>(w - out.data());
 }
 
 std::size_t pack_scalar(const double* per_atom, std::span<const int> list,
-                        double* out) {
-  double* w = out;
+                        std::span<double> out) {
+  check_room("scalar", list.size(), out);
+  double* w = out.data();
   for (const int i : list) *w++ = per_atom[i];
-  return static_cast<std::size_t>(w - out);
+  return static_cast<std::size_t>(w - out.data());
 }
 
 std::size_t pack_exchange(const md::Atoms& atoms, std::span<const int> list,
-                          const util::Vec3& shift, double* out) {
+                          const util::Vec3& shift, std::span<double> out) {
+  check_room("exchange", list.size() * kExchangeDoubles, out);
   const double* x = atoms.x();
   const double* v = atoms.v();
-  double* w = out;
+  double* w = out.data();
   for (const int i : list) {
     w = put_shifted(x, i, shift, w);
     *w++ = v[3 * i];
@@ -61,39 +77,13 @@ std::size_t pack_exchange(const md::Atoms& atoms, std::span<const int> list,
     *w++ = v[3 * i + 2];
     *w++ = tag_to_double(atoms.tag(i));
   }
-  return static_cast<std::size_t>(w - out);
+  return static_cast<std::size_t>(w - out.data());
 }
 
-// --- pack: vectors ------------------------------------------------------
-
-std::vector<double> pack_border(const md::Atoms& atoms,
-                                std::span<const int> list,
-                                const util::Vec3& shift) {
-  std::vector<double> out(list.size() * kBorderDoubles);
-  pack_border(atoms, list, shift, out.data());
-  return out;
-}
-
-std::vector<double> pack_positions(const double* x, std::span<const int> list,
-                                   const util::Vec3& shift) {
-  std::vector<double> out(list.size() * kPositionDoubles);
-  pack_positions(x, list, shift, out.data());
-  return out;
-}
-
-std::vector<double> pack_scalar(const double* per_atom,
-                                std::span<const int> list) {
-  std::vector<double> out(list.size());
-  pack_scalar(per_atom, list, out.data());
-  return out;
-}
-
-std::vector<double> pack_exchange(const md::Atoms& atoms,
-                                  std::span<const int> list,
-                                  const util::Vec3& shift) {
-  std::vector<double> out(list.size() * kExchangeDoubles);
-  pack_exchange(atoms, list, shift, out.data());
-  return out;
+std::size_t pack_block(std::span<const double> block, std::span<double> out) {
+  check_room("ghost-block", block.size(), out);
+  std::copy(block.begin(), block.end(), out.begin());
+  return block.size();
 }
 
 // --- unpack -------------------------------------------------------------

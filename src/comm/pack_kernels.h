@@ -2,7 +2,6 @@
 
 #include <cstddef>
 #include <span>
-#include <vector>
 
 #include "md/atoms.h"
 #include "util/vec3.h"
@@ -17,40 +16,31 @@ namespace lmp::comm {
 ///   forward:  shifted position              (3 doubles / atom)
 ///   scalar:   one per-atom double           (EAM rho / fp mid-pair comm)
 ///   exchange: position + velocity + tag     (7 doubles / atom)
+///   block:    a contiguous ghost block      (reverse forces / scalars)
 ///
-/// The raw-buffer overloads write into a caller-provided buffer so the
-/// zero-copy RDMA path (CommP2p) packs straight into registered memory;
-/// the vector overloads size the result up front from the send-list
-/// length (no unreserved push_back) for the two-sided transports.
+/// Every pack writes into `out`, the transport's own outgoing storage:
+/// the registered RDMA send buffer of the uTofu drivers, the reused send
+/// buffer of the two-sided ones. Nothing is allocated per message. The
+/// kernels are also the one place the Sec. 3.4 buffer bound is checked:
+/// a payload larger than `out` throws std::length_error, naming the
+/// format and both sizes, before a single double is written.
 
 inline constexpr int kBorderDoubles = 4;
 inline constexpr int kPositionDoubles = 3;
 inline constexpr int kExchangeDoubles = 7;
 
-// --- pack: raw caller-provided buffers (zero-copy path) ----------------
-// `out` must hold list.size() * k doubles; each returns doubles written.
+// --- pack: each returns the doubles written ----------------------------
 
 std::size_t pack_border(const md::Atoms& atoms, std::span<const int> list,
-                        const util::Vec3& shift, double* out);
+                        const util::Vec3& shift, std::span<double> out);
 std::size_t pack_positions(const double* x, std::span<const int> list,
-                           const util::Vec3& shift, double* out);
+                           const util::Vec3& shift, std::span<double> out);
 std::size_t pack_scalar(const double* per_atom, std::span<const int> list,
-                        double* out);
+                        std::span<double> out);
 std::size_t pack_exchange(const md::Atoms& atoms, std::span<const int> list,
-                          const util::Vec3& shift, double* out);
-
-// --- pack: sized-up-front vectors (two-sided transports) ---------------
-
-std::vector<double> pack_border(const md::Atoms& atoms,
-                                std::span<const int> list,
-                                const util::Vec3& shift);
-std::vector<double> pack_positions(const double* x, std::span<const int> list,
-                                   const util::Vec3& shift);
-std::vector<double> pack_scalar(const double* per_atom,
-                                std::span<const int> list);
-std::vector<double> pack_exchange(const md::Atoms& atoms,
-                                  std::span<const int> list,
-                                  const util::Vec3& shift);
+                          const util::Vec3& shift, std::span<double> out);
+/// Copy a contiguous ghost block (the reverse paths' payload) into `out`.
+std::size_t pack_block(std::span<const double> block, std::span<double> out);
 
 // --- unpack ------------------------------------------------------------
 

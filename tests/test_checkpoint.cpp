@@ -8,13 +8,12 @@
 #include "sim/checkpoint.h"
 #include "sim/simulation.h"
 #include "util/durable_file.h"
+#include "test_tmp.h"
 
 namespace lmp {
 namespace {
 
-std::string tmp_path(const std::string& name) {
-  return ::testing::TempDir() + name;
-}
+using test::tmp_path;
 
 sim::CheckpointState sample_state() {
   sim::CheckpointState st;

@@ -1,15 +1,21 @@
+#include <gmock/gmock.h>
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <bit>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
+#include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "comm/comm_factory.h"
+#include "comm/msg_codec.h"
 #include "geom/lattice.h"
 #include "minimpi/runtime.h"
+#include "obs/alloc_tracker.h"
 #include "sim/simulation.h"
 
 namespace lmp::sim {
@@ -254,6 +260,75 @@ TEST(CommP2pMpi, ZeroLengthReceivesAreEmptyPayloads) {
   EXPECT_EQ(atoms.nlocal(), 2);
   EXPECT_EQ(c.comm->counters().exchange_msgs, 26u);
   EXPECT_EQ(c.comm->counters().bytes, 0u);
+}
+
+TEST(CommBrick, ForwardCountMismatchNamesRankAndChannel) {
+  // A forward payload that does not fill the ghost block borders()
+  // placed is rejected with the rank and channel it arrived on. The
+  // stray message is pre-posted under the ref transport's forward tag
+  // for channel 0 (kind * 8 + channel), so it is matched first.
+  const geom::Box global{{0, 0, 0}, {10, 10, 10}};
+  const geom::Decomposition decomp({1, 1, 1}, global);
+  md::Atoms atoms;
+  atoms.reserve_capacity(4096);
+  atoms.add_local({0.5, 5, 5}, {0, 0, 0}, 1);
+  atoms.add_local({9.5, 5, 5}, {0, 0, 0}, 2);
+  minimpi::World world(1);
+  comm::CommBuildInputs in;
+  in.ctx.decomp = &decomp;
+  in.ctx.atoms = &atoms;
+  in.ctx.sub = decomp.sub_box(0);
+  in.ctx.global = global;
+  in.ctx.ghost_cutoff = 2.8;
+  in.ctx.density = 0.8;
+  in.world = &world;
+  const comm::CommInstance c = comm::CommFactory::instance().at("ref").build(in);
+  c.comm->setup();
+  c.comm->exchange();
+  c.comm->borders();
+  ASSERT_GT(atoms.nghost(), 0);
+
+  const double stray = 1.0;
+  world.send(0, 0, static_cast<int>(comm::MsgKind::kForward) * 8 + 0,
+             std::as_bytes(std::span<const double>(&stray, 1)));
+  try {
+    c.comm->forward_positions();
+    FAIL() << "expected std::logic_error";
+  } catch (const std::logic_error& e) {
+    EXPECT_THAT(e.what(), ::testing::HasSubstr("rank 0"));
+    EXPECT_THAT(e.what(), ::testing::HasSubstr("channel 0"));
+  }
+}
+
+TEST(CommUtofu, Brick3StageStepsAllocateNothingInComm) {
+  // utofu_3stage packs into its registered send buffer and receives a
+  // view of the ring slot, so a step without a rebuild makes no heap
+  // allocation in the Comm stage. 19 steps stay short of the first
+  // rebuild (neigh every 20); the guard checks steps 5..19. The async
+  // executor runs the forward inside the step DAG, whose allocations
+  // land on stage:Pair, so that row must be absent too.
+  if (!obs::alloc_trace_compiled_in()) {
+    GTEST_SKIP() << "LMP_ALLOC_TRACE=OFF: guard disarms itself";
+  }
+  for (const bool newton : {true, false}) {
+    for (const char* executor : {"barrier", "async"}) {
+      SimOptions o = lj_opts({2, 2, 1}, "utofu_3stage");
+      o.config.newton = newton;
+      o.executor = executor;
+      o.alloc_guard = true;
+      o.alloc_guard_warmup = 4;
+      const JobResult r = run_simulation(o, 19);
+      ASSERT_TRUE(r.alloc_guard.tracker_available);
+      EXPECT_EQ(r.alloc_guard.steps_checked, 15);
+      for (const obs::AllocSlotStats& row : r.alloc_guard.rows) {
+        for (const char* stage : {"stage:Comm", "stage:Pair"}) {
+          EXPECT_STRNE(row.name, stage)
+              << "newton " << newton << ", " << executor << ": "
+              << row.allocs << " allocs";
+        }
+      }
+    }
+  }
 }
 
 TEST(CommUtofu, RegistersOnlyAtSetup) {

@@ -79,6 +79,18 @@ TEST(Executor, AsyncMatchesBarrierBitwiseLjP2p) {
   expect_bitwise_equal(barrier, async);
 }
 
+TEST(Executor, AsyncMatchesBarrierBitwiseLjUtofu3Stage) {
+  // utofu_3stage receives are views of the ring slots a peer's put
+  // writes. Newton off, as the serve-ckpt workload runs it; the 30 steps
+  // include a rebuild, so exchange and borders read ring views too.
+  SimOptions o = lj_case("utofu_3stage");
+  o.config.newton = false;
+  const JobResult barrier = run_simulation(o, 30);
+  o.executor = "async";
+  const JobResult async = run_simulation(o, 30);
+  expect_bitwise_equal(barrier, async);
+}
+
 TEST(Executor, AsyncMatchesBarrierBitwiseEamRef) {
   SimOptions o = eam_case("ref");
   const JobResult barrier = run_simulation(o, 20);

@@ -7,13 +7,12 @@
 #include "comm/health_monitor.h"
 #include "sim/simulation.h"
 #include "tofu/fault.h"
+#include "test_tmp.h"
 
 namespace lmp {
 namespace {
 
-std::string tmp_path(const std::string& name) {
-  return ::testing::TempDir() + name;
-}
+using test::tmp_path;
 
 /// A 6D axis on which procs 0 and 1 of an nprocs-node allocation differ —
 /// downing it severs the route between the first two ranks without the

@@ -13,6 +13,7 @@
 #include "sim/integrity.h"
 #include "sim/simulation.h"
 #include "tofu/fault.h"
+#include "test_tmp.h"
 
 namespace lmp::sim {
 namespace {
@@ -288,10 +289,8 @@ TEST(Checkpoint, ContentHashSeesEveryField) {
 }
 
 TEST(Checkpoint, RetentionKeepsOnlyNewestK) {
-  const std::string dir = ::testing::TempDir() + "lmp_keep_test";
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  const std::string prefix = dir + "/run.ck";
+  const std::string dir = test::fresh_dir("lmp_keep_test");
+  const std::string prefix = dir + "run.ck";
 
   SimOptions o = lj_case();
   o.checkpoint_every = 5;
@@ -311,12 +310,10 @@ TEST(Checkpoint, RetentionKeepsOnlyNewestK) {
 }
 
 TEST(Checkpoint, RetentionZeroKeepsEverything) {
-  const std::string dir = ::testing::TempDir() + "lmp_keep_all_test";
-  fs::remove_all(dir);
-  fs::create_directories(dir);
+  const std::string dir = test::fresh_dir("lmp_keep_all_test");
   SimOptions o = lj_case();
   o.checkpoint_every = 5;
-  o.checkpoint_path = dir + "/run.ck";
+  o.checkpoint_path = dir + "run.ck";
   run_simulation(o, 20);
   std::size_t count = 0;
   for (const auto& e : fs::directory_iterator(dir)) {
@@ -328,11 +325,9 @@ TEST(Checkpoint, RetentionZeroKeepsEverything) {
 }
 
 TEST(Checkpoint, PruneIgnoresForeignAndTmpFiles) {
-  const std::string dir = ::testing::TempDir() + "lmp_prune_test";
-  fs::remove_all(dir);
-  fs::create_directories(dir);
+  const std::string dir = test::fresh_dir("lmp_prune_test");
   const auto touch = [&](const std::string& name) {
-    std::FILE* f = std::fopen((dir + "/" + name).c_str(), "w");
+    std::FILE* f = std::fopen((dir + name).c_str(), "w");
     ASSERT_NE(f, nullptr);
     std::fclose(f);
   };
@@ -342,13 +337,13 @@ TEST(Checkpoint, PruneIgnoresForeignAndTmpFiles) {
   touch("run.ck.12.tmp");   // in-flight atomic publish: never touched
   touch("run.ck.notastep"); // non-numeric suffix: not ours
   touch("other.ck.5");      // different prefix
-  EXPECT_EQ(prune_checkpoints(dir + "/run.ck", 1), 2);
-  EXPECT_FALSE(fs::exists(dir + "/run.ck.5"));
-  EXPECT_FALSE(fs::exists(dir + "/run.ck.10"));
-  EXPECT_TRUE(fs::exists(dir + "/run.ck.15"));
-  EXPECT_TRUE(fs::exists(dir + "/run.ck.12.tmp"));
-  EXPECT_TRUE(fs::exists(dir + "/run.ck.notastep"));
-  EXPECT_TRUE(fs::exists(dir + "/other.ck.5"));
+  EXPECT_EQ(prune_checkpoints(dir + "run.ck", 1), 2);
+  EXPECT_FALSE(fs::exists(dir + "run.ck.5"));
+  EXPECT_FALSE(fs::exists(dir + "run.ck.10"));
+  EXPECT_TRUE(fs::exists(dir + "run.ck.15"));
+  EXPECT_TRUE(fs::exists(dir + "run.ck.12.tmp"));
+  EXPECT_TRUE(fs::exists(dir + "run.ck.notastep"));
+  EXPECT_TRUE(fs::exists(dir + "other.ck.5"));
   fs::remove_all(dir);
 }
 
@@ -360,9 +355,7 @@ TEST(Integrity, ChaosSoakKillRestartStaysBitwiseIdentical) {
   // newest on-disk checkpoint. The reliability protocol absorbs the
   // fabric faults, the guards heal the flip, and the stitched run must
   // still match the clean uninterrupted trajectory bit for bit.
-  const std::string dir = ::testing::TempDir() + "lmp_chaos_soak";
-  fs::remove_all(dir);
-  fs::create_directories(dir);
+  const std::string dir = test::fresh_dir("lmp_chaos_soak");
 
   SimOptions clean = lj_case();
   clean.executor = "async";
@@ -371,7 +364,7 @@ TEST(Integrity, ChaosSoakKillRestartStaysBitwiseIdentical) {
 
   SimOptions o = clean;
   arm_guards(o);
-  o.checkpoint_path = dir + "/soak.ck";
+  o.checkpoint_path = dir + "soak.ck";
   o.faults.seed = 1234;
   o.faults.drop_rate = 0.02;
   o.faults.delay_rate = 0.02;
@@ -382,12 +375,12 @@ TEST(Integrity, ChaosSoakKillRestartStaysBitwiseIdentical) {
   // Incarnation 1: dies (run ends) at step 20 after healing the flip.
   const JobResult first = run_simulation(o, 20);
   EXPECT_EQ(first.health.integrity_detections, 1u);
-  ASSERT_TRUE(fs::exists(dir + "/soak.ck.20"));
+  ASSERT_TRUE(fs::exists(dir + "soak.ck.20"));
 
   // Incarnation 2: fresh process state, resumes from the durable
   // checkpoint. The flip step is behind the restart point, so the new
   // injector never re-fires it.
-  o.restart_file = dir + "/soak.ck.20";
+  o.restart_file = dir + "soak.ck.20";
   const JobResult second = run_simulation(o, 30);
   EXPECT_EQ(second.restart_step, 20);
   EXPECT_EQ(second.health.integrity_detections, 0u);

@@ -8,17 +8,12 @@
 #include <vector>
 
 #include "comm/msg_codec.h"
+#include "test_tmp.h"
 
 namespace lmp::serve {
 namespace {
 
-/// Fresh path under the gtest temp dir: a stale file from a previous
-/// run would otherwise be replayed as journal history.
-std::string tmp_path(const std::string& name) {
-  const std::string path = ::testing::TempDir() + name;
-  std::remove(path.c_str());
-  return path;
-}
+using test::tmp_path;
 
 JournalJob sample_job(std::uint64_t id, const std::string& tenant = "acme") {
   JournalJob j;

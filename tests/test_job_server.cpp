@@ -16,24 +16,13 @@
 
 #include "sim/input_script.h"
 #include "sim/simulation.h"
+#include "test_tmp.h"
 
 namespace lmp::serve {
 namespace {
 
-std::string tmp_path(const std::string& name) {
-  const std::string path = ::testing::TempDir() + name;
-  std::remove(path.c_str());
-  return path;
-}
-
-/// An empty work directory of its own: job files are named by job id, so
-/// servers of tests that ctest runs concurrently must not share one.
-std::string fresh_dir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + name + "/";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir;
-}
+using test::tmp_path;
+using test::fresh_dir;
 
 /// Small LJ melt (108 atoms), `ref` comm so trajectories are bitwise
 /// deterministic. `extra` lines go before `run`.

@@ -1,6 +1,8 @@
+#include <gmock/gmock.h>
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -10,6 +12,8 @@
 
 namespace lmp::comm {
 namespace {
+
+using ::testing::HasSubstr;
 
 md::Atoms sample_atoms() {
   md::Atoms atoms;
@@ -24,8 +28,8 @@ TEST(PackKernels, BorderRoundTripShiftsAndKeepsTags) {
   const md::Atoms src = sample_atoms();
   const std::vector<int> list{2, 0};
   const util::Vec3 shift{10.0, -20.0, 0.0};
-  const std::vector<double> buf = pack_border(src, list, shift);
-  ASSERT_EQ(buf.size(), list.size() * kBorderDoubles);
+  std::vector<double> buf(list.size() * kBorderDoubles);
+  ASSERT_EQ(pack_border(src, list, shift, buf), buf.size());
 
   md::Atoms dst;
   dst.reserve_capacity(8);
@@ -40,40 +44,21 @@ TEST(PackKernels, BorderRoundTripShiftsAndKeepsTags) {
   EXPECT_EQ(dst.tag(2), 101);
 }
 
-TEST(PackKernels, RawAndVectorOverloadsAgree) {
-  const md::Atoms src = sample_atoms();
-  const std::vector<int> list{0, 1, 2};
-  const util::Vec3 shift{-1.0, 2.0, 3.5};
-
-  const std::vector<double> vec = pack_border(src, list, shift);
-  std::vector<double> raw(list.size() * kBorderDoubles, -1.0);
-  EXPECT_EQ(pack_border(src, list, shift, raw.data()), raw.size());
-  EXPECT_EQ(raw, vec);
-
-  const std::vector<double> vpos = pack_positions(src.x(), list, shift);
-  std::vector<double> rpos(list.size() * kPositionDoubles, -1.0);
-  EXPECT_EQ(pack_positions(src.x(), list, shift, rpos.data()), rpos.size());
-  EXPECT_EQ(rpos, vpos);
-
-  const std::vector<double> vex = pack_exchange(src, list, shift);
-  std::vector<double> rex(list.size() * kExchangeDoubles, -1.0);
-  EXPECT_EQ(pack_exchange(src, list, shift, rex.data()), rex.size());
-  EXPECT_EQ(rex, vex);
-}
-
 TEST(PackKernels, PositionsRoundTripIntoGhostBlock) {
   const md::Atoms src = sample_atoms();
   const std::vector<int> list{1, 2};
   const util::Vec3 shift{0.0, 0.0, 5.0};
-  const std::vector<double> buf = pack_positions(src.x(), list, shift);
-  ASSERT_EQ(buf.size(), 6u);
+  // A roomier buffer than the payload: the kernel writes only its prefix.
+  std::vector<double> buf(10, -1.0);
+  ASSERT_EQ(pack_positions(src.x(), list, shift, buf), 6u);
+  EXPECT_EQ(buf[6], -1.0);
 
   md::Atoms dst;
   dst.reserve_capacity(8);
   dst.add_local({0, 0, 0}, {}, 1);
   const int start = dst.add_ghost({}, 2);
   dst.add_ghost({}, 3);
-  unpack_positions(dst.x(), start, buf);
+  unpack_positions(dst.x(), start, std::span<const double>(buf).first(6));
   EXPECT_EQ(dst.pos(start), (util::Vec3{4.0, 5.0, 11.0}));
   EXPECT_EQ(dst.pos(start + 1), (util::Vec3{7.0, 8.0, 14.0}));
 }
@@ -81,7 +66,8 @@ TEST(PackKernels, PositionsRoundTripIntoGhostBlock) {
 TEST(PackKernels, ScalarRoundTrip) {
   const std::vector<double> rho{1.5, 2.5, 3.5, 4.5};
   const std::vector<int> list{3, 1};
-  const std::vector<double> buf = pack_scalar(rho.data(), list);
+  std::vector<double> buf(2);
+  ASSERT_EQ(pack_scalar(rho.data(), list, buf), 2u);
   EXPECT_EQ(buf, (std::vector<double>{4.5, 2.5}));
 
   std::vector<double> dst(6, 0.0);
@@ -89,12 +75,20 @@ TEST(PackKernels, ScalarRoundTrip) {
   EXPECT_EQ(dst, (std::vector<double>{0, 0, 0, 0, 4.5, 2.5}));
 }
 
+TEST(PackKernels, BlockCopiesTheGhostBlock) {
+  const std::vector<double> f{1.0, 2.0, 3.0, 4.0, 5.0, 6.0};
+  std::vector<double> buf(4, -1.0);
+  ASSERT_EQ(pack_block(std::span<const double>(f).subspan(3, 3), buf), 3u);
+  EXPECT_EQ(buf, (std::vector<double>{4.0, 5.0, 6.0, -1.0}));
+}
+
 TEST(PackKernels, ExchangeRoundTripCarriesVelocityAndTag) {
   const md::Atoms src = sample_atoms();
   const std::vector<int> list{1};
   const util::Vec3 shift{-10.0, 0.0, 0.0};
-  const std::vector<double> buf = pack_exchange(src, list, shift);
-  ASSERT_EQ(buf.size(), static_cast<std::size_t>(kExchangeDoubles));
+  std::vector<double> buf(kExchangeDoubles);
+  ASSERT_EQ(pack_exchange(src, list, shift, buf),
+            static_cast<std::size_t>(kExchangeDoubles));
 
   md::Atoms dst;
   dst.reserve_capacity(4);
@@ -111,7 +105,8 @@ TEST(PackKernels, ExchangeSlabKeepsOnlyTheResidentRange) {
   // keeps only records whose coordinate lands in its [lo, hi) slab.
   const md::Atoms src = sample_atoms();  // x coords 1, 4, 7
   const std::vector<int> list{0, 1, 2};
-  const std::vector<double> buf = pack_exchange(src, list, {});
+  std::vector<double> buf(list.size() * kExchangeDoubles);
+  ASSERT_EQ(pack_exchange(src, list, {}, buf), buf.size());
 
   md::Atoms dst;
   dst.reserve_capacity(4);
@@ -120,6 +115,49 @@ TEST(PackKernels, ExchangeSlabKeepsOnlyTheResidentRange) {
   ASSERT_EQ(dst.nlocal(), 1);
   EXPECT_EQ(dst.tag(0), 102);
   // hi is exclusive: x == 7 was dropped, x == 1 was below lo.
+}
+
+TEST(PackKernels, RejectsPayloadLargerThanBuffer) {
+  // The pack kernels are the one buffer-bound check of every driver: a
+  // payload that does not fit throws before a single double is written.
+  const md::Atoms src = sample_atoms();
+  const std::vector<int> list{0, 1, 2};
+  const std::vector<double> block(5, 1.0);
+  constexpr double kSentinel = -7.0;
+  const auto expect_rejected = [&](std::size_t need, const auto& pack) {
+    // The buffer is one double short; the element just past it (and
+    // every element in it) must keep the sentinel.
+    std::vector<double> storage(need, kSentinel);
+    const std::span<double> out(storage.data(), need - 1);
+    EXPECT_THROW(pack(out), std::length_error) << "need " << need;
+    EXPECT_EQ(storage, std::vector<double>(need, kSentinel)) << "need " << need;
+  };
+  expect_rejected(list.size() * kBorderDoubles, [&](std::span<double> out) {
+    return pack_border(src, list, {}, out);
+  });
+  expect_rejected(list.size() * kPositionDoubles, [&](std::span<double> out) {
+    return pack_positions(src.x(), list, {}, out);
+  });
+  expect_rejected(list.size(), [&](std::span<double> out) {
+    return pack_scalar(src.x(), list, out);
+  });
+  expect_rejected(list.size() * kExchangeDoubles, [&](std::span<double> out) {
+    return pack_exchange(src, list, {}, out);
+  });
+  expect_rejected(block.size(), [&](std::span<double> out) {
+    return pack_block(block, out);
+  });
+
+  // The error names the payload format and both sizes.
+  std::vector<double> small(11);
+  try {
+    pack_border(src, list, {}, small);
+    FAIL() << "expected std::length_error";
+  } catch (const std::length_error& e) {
+    EXPECT_THAT(e.what(), HasSubstr("border"));
+    EXPECT_THAT(e.what(), HasSubstr("12 doubles"));
+    EXPECT_THAT(e.what(), HasSubstr("11-double"));
+  }
 }
 
 TEST(PackKernels, AddForcesAccumulatesOntoOwners) {

@@ -32,9 +32,13 @@
 #include "serve/telemetry.h"
 #include "util/json_mini.h"
 #include "util/stats.h"
+#include "test_tmp.h"
 
 namespace lmp {
 namespace {
+
+using test::tmp_path;
+using test::fresh_dir;
 
 // --- time series --------------------------------------------------------
 
@@ -303,21 +307,6 @@ TEST(TelemetryProtocol, StatsJsonAndWatchRoundTrip) {
 }
 
 // --- sampler + snapshot (admission-only server: TSan-safe) --------------
-
-std::string tmp_path(const std::string& name) {
-  const std::string path = ::testing::TempDir() + name;
-  std::remove(path.c_str());
-  return path;
-}
-
-/// An empty work directory of its own: job files are named by job id, so
-/// servers of tests that ctest runs concurrently must not share one.
-std::string fresh_dir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + name + "/";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir;
-}
 
 serve::ServerConfig sampler_config(const std::string& tag) {
   serve::ServerConfig cfg;
