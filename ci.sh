@@ -574,20 +574,29 @@ run_newton_off_stress() {
   echo "newton-off stress: $((4 * runs)) runs of ${ntests} tests, 0 failures"
 }
 
-# Bench-gate guard: every bench/ target is a paper reproduction
-# (fig*/table*), the bench_compare gate itself, or a bench_<x> whose
-# committed bench/baselines/BENCH_<x>.json run_bench_compare_smoke gates.
-# A program that prints a table nobody checks is deleted, not added.
-run_bench_gate_guard() {
-  echo "--- bench-gate guard (every bench/ target is gated) ---"
-  local smoke targets t bad=0
+# The executable targets a CMakeLists.txt declares: the names of its
+# foreach(<var> ...) lists and its add_executable(<name> calls.
+cmake_targets() {
+  sed 's/#.*//' "$1" | tr '\n' ' ' \
+      | grep -oE 'foreach\([A-Za-z_]+ [^)]*\)|add_executable\([A-Za-z0-9_]+' \
+      | sed -E 's/^foreach\([A-Za-z_]+ //; s/\)$//; s/^add_executable\(//' \
+      | tr ' ' '\n' | grep -v '^$' || true
+}
+
+# Target-gate guard: no program is built that nothing checks.
+# - Every bench/ target is a paper reproduction (fig*/table*), the
+#   bench_compare gate itself, or a bench_<x> whose committed
+#   bench/baselines/BENCH_<x>.json run_bench_compare_smoke gates.
+# - Every examples/ target is run, as .../examples/<name>, by some ci.sh
+#   pass outside this guard.
+# A program that prints output nobody checks is deleted, not added.
+run_target_gate_guard() {
+  echo "--- target-gate guard (every bench/ and examples/ target is gated) ---"
+  local smoke passes targets t bad=0
   smoke=$(sed -n '/^run_bench_compare_smoke()/,/^}/p' ci.sh)
-  targets=$(sed 's/#.*//' bench/CMakeLists.txt | tr '\n' ' ' \
-      | grep -oE 'foreach\(b [^)]*\)|add_executable\([A-Za-z0-9_]+' \
-      | sed -E 's/^foreach\(b //; s/\)$//; s/^add_executable\(//' \
-      | tr ' ' '\n' | grep -v '^$' || true)
+  targets=$(cmake_targets bench/CMakeLists.txt)
   grep -qx bench_compare <<< "${targets}" \
-      || { echo "bench-gate: found no bench_compare target; the parser went blind"; return 1; }
+      || { echo "target-gate: found no bench_compare target; the parser went blind"; return 1; }
   for t in ${targets}; do
     case "${t}" in
       fig*|table*|bench_compare) continue ;;
@@ -597,9 +606,20 @@ run_bench_gate_guard() {
           continue
         fi ;;
     esac
-    echo "bench-gate: bench/ target '${t}' is not a fig*/table* paper" \
+    echo "target-gate: bench/ target '${t}' is not a fig*/table* paper" \
          "reproduction, bench_compare, or a bench_<x> whose" \
          "bench/baselines/BENCH_<x>.json run_bench_compare_smoke gates"
+    bad=1
+  done
+
+  passes=$(sed '/^run_target_gate_guard()/,/^}/d; /^[[:space:]]*#/d' ci.sh)
+  targets=$(cmake_targets examples/CMakeLists.txt)
+  grep -qx lmp_cli <<< "${targets}" \
+      || { echo "target-gate: found no lmp_cli target; the parser went blind"; return 1; }
+  for t in ${targets}; do
+    grep -qE "/examples/${t}([^A-Za-z0-9_]|\$)" <<< "${passes}" && continue
+    echo "target-gate: examples/ target '${t}' is run by no ci.sh pass" \
+         "(no .../examples/${t} invocation)"
     bad=1
   done
   return "${bad}"
@@ -722,7 +742,7 @@ EOF
 
 echo "=== pass 1: -Werror build + ctest ==="
 run_layering_guard
-run_bench_gate_guard
+run_target_gate_guard
 run_reachability_guard
 cmake -B build-ci -S . -DLMP_WERROR=ON
 cmake --build build-ci -j "${JOBS}"

@@ -1,6 +1,5 @@
 #include "geom/decomposition.h"
 
-#include <limits>
 #include <stdexcept>
 
 namespace lmp::geom {
@@ -58,29 +57,6 @@ int Decomposition::owner_of(const Vec3& p) const {
     if (c[d] >= grid_[d]) c[d] = grid_[d] - 1;  // hi-edge guard
   }
   return rank_of(c);
-}
-
-Int3 choose_grid(int nranks, const Vec3& extent) {
-  if (nranks < 1) throw std::invalid_argument("nranks must be >= 1");
-  Int3 best{1, 1, nranks};
-  double best_surface = std::numeric_limits<double>::max();
-  for (int px = 1; px <= nranks; ++px) {
-    if (nranks % px != 0) continue;
-    const int rest = nranks / px;
-    for (int py = 1; py <= rest; ++py) {
-      if (rest % py != 0) continue;
-      const int pz = rest / py;
-      const double sx = extent.x / px;
-      const double sy = extent.y / py;
-      const double sz = extent.z / pz;
-      const double surface = sx * sy + sy * sz + sx * sz;
-      if (surface < best_surface) {
-        best_surface = surface;
-        best = {px, py, pz};
-      }
-    }
-  }
-  return best;
 }
 
 }  // namespace lmp::geom

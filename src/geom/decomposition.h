@@ -47,9 +47,4 @@ class Decomposition {
   Box global_;
 };
 
-/// Choose a near-cubic process grid for `nranks` ranks in a box with
-/// extents `extent` (mirrors LAMMPS' procs2box heuristic: minimize the
-/// surface area of a sub-box). Throws if nranks < 1.
-Int3 choose_grid(int nranks, const Vec3& extent);
-
 }  // namespace lmp::geom

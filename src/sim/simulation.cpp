@@ -460,10 +460,12 @@ class RankSim {
 
   /// The one force path: the epoch's step DAG, run serially in
   /// canonical order (barrier: no pool) or on the DAG pool (async).
-  /// Charged to Pair, so EAM's mid-pair rho/fp exchanges and, on async
+  /// Timed as Pair, so EAM's mid-pair rho/fp exchanges and, on async
   /// non-rebuild steps, the overlapped forward exchange count as hidden
   /// pair time (the trace spans keep the full attribution; see
-  /// DESIGN.md section 12).
+  /// DESIGN.md section 12). The allocation ledger splits differently:
+  /// task.fwd and task.wait open a stage:Comm scope, so the forward's
+  /// heap traffic lands on the same row under both executors.
   void compute_forces() {
     {
       obs::ScopedStage s(timer_, Stage::kPair);
@@ -503,7 +505,9 @@ class RankSim {
   void build_step_graph() {
     graph_.clear();
     const int fwd = graph_.add("task.fwd", [this] {
-      if (dag_forward_) comm_->forward_begin();
+      if (!dag_forward_) return;
+      LMP_ALLOC_SCOPE(util::stage_trace_name(Stage::kComm));
+      comm_->forward_begin();
     });
 
     // Wait nodes take the ids first_wait + i, in channel order.
@@ -513,7 +517,9 @@ class RankSim {
     for (int i = 0; i < nchans; ++i) {
       const int ch = chans[static_cast<std::size_t>(i)];
       const int w = graph_.add("task.wait", [this, ch] {
-        if (dag_forward_) comm_->forward_complete(ch);
+        if (!dag_forward_) return;
+        LMP_ALLOC_SCOPE(util::stage_trace_name(Stage::kComm));
+        comm_->forward_complete(ch);
       });
       graph_.depend(w, fwd);
       // Chain behind the previous wait on the same key.

@@ -57,7 +57,7 @@ FaultInjector::FaultInjector(FaultPlan plan) : plan_(std::move(plan)) {
 void FaultInjector::map_procs(int nprocs) {
   if (!plan_.permanent_faults() || nprocs < 1) return;
   // Same default allocation the job itself would get: a near-cubic cell
-  // block with proc i on node i (Topology::map_linear).
+  // block with proc i on node i.
   const Topology topo = Topology::for_nodes(nprocs);
   proc_coords_.clear();
   proc_coords_.reserve(static_cast<std::size_t>(nprocs));

@@ -1,7 +1,5 @@
 #include "tofu/topology.h"
 
-#include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 #include "tofu/hardware.h"
@@ -94,75 +92,6 @@ int Topology::hops(long u, long v) const {
     h += shape_.axis_hops(static_cast<Axis>(ax), cu.v[ax], cv.v[ax]);
   }
   return h;
-}
-
-std::vector<long> Topology::map_md_grid(Int3 md) const {
-  if (md.x < 1 || md.y < 1 || md.z < 1) {
-    throw std::invalid_argument("MD grid must be >= 1 per axis");
-  }
-  if (md.x > 2 * cells_.x || md.y > 3 * cells_.y || md.z > 2 * cells_.z) {
-    throw std::invalid_argument("MD grid does not fit the allocation");
-  }
-  std::vector<long> mapping(static_cast<std::size_t>(md.x) * md.y * md.z);
-  for (int k = 0; k < md.z; ++k) {
-    for (int j = 0; j < md.y; ++j) {
-      for (int i = 0; i < md.x; ++i) {
-        TofuCoord c;
-        c[Axis::kX] = i / 2;
-        c[Axis::kA] = i % 2;
-        c[Axis::kY] = j / 3;
-        c[Axis::kB] = j % 3;
-        c[Axis::kZ] = k / 2;
-        c[Axis::kC] = k % 2;
-        mapping[static_cast<std::size_t>(i) +
-                static_cast<std::size_t>(md.x) * (j + static_cast<std::size_t>(md.y) * k)] =
-            node_of(c);
-      }
-    }
-  }
-  return mapping;
-}
-
-std::vector<long> Topology::map_linear(Int3 md) const {
-  const long n = static_cast<long>(md.x) * md.y * md.z;
-  if (n > nnodes()) throw std::invalid_argument("MD grid exceeds allocation");
-  std::vector<long> mapping(static_cast<std::size_t>(n));
-  for (long i = 0; i < n; ++i) mapping[static_cast<std::size_t>(i)] = i;
-  return mapping;
-}
-
-MappingStats Topology::adjacency_stats(Int3 md,
-                                       const std::vector<long>& mapping) const {
-  const auto idx = [&](int i, int j, int k) {
-    auto wrap = [](int v, int n) { return ((v % n) + n) % n; };
-    return static_cast<std::size_t>(wrap(i, md.x)) +
-           static_cast<std::size_t>(md.x) *
-               (wrap(j, md.y) + static_cast<std::size_t>(md.y) * wrap(k, md.z));
-  };
-  MappingStats s;
-  double hop_sum = 0.0;
-  for (int k = 0; k < md.z; ++k) {
-    for (int j = 0; j < md.y; ++j) {
-      for (int i = 0; i < md.x; ++i) {
-        const long u = mapping[idx(i, j, k)];
-        for (int dz = -1; dz <= 1; ++dz) {
-          for (int dy = -1; dy <= 1; ++dy) {
-            for (int dx = -1; dx <= 1; ++dx) {
-              if (dx == 0 && dy == 0 && dz == 0) continue;
-              const long v = mapping[idx(i + dx, j + dy, k + dz)];
-              if (u == v) continue;  // wrapped onto itself on a tiny grid
-              const int h = hops(u, v);
-              hop_sum += h;
-              s.max_hops_between_adjacent = std::max(s.max_hops_between_adjacent, h);
-              ++s.pairs;
-            }
-          }
-        }
-      }
-    }
-  }
-  if (s.pairs > 0) s.avg_hops_between_adjacent = hop_sum / static_cast<double>(s.pairs);
-  return s;
 }
 
 }  // namespace lmp::tofu

@@ -1,21 +1,11 @@
 #pragma once
 
-#include <vector>
-
 #include "tofu/coords.h"
 #include "util/vec3.h"
 
 namespace lmp::tofu {
 
 using util::Int3;
-
-/// Statistics of a rank-grid -> node mapping, used by the `topo map`
-/// optimization (paper Sec. 3.5.3) and the topology_explorer example.
-struct MappingStats {
-  double avg_hops_between_adjacent = 0.0;  ///< over all 26-neighbor pairs
-  int max_hops_between_adjacent = 0;
-  long pairs = 0;
-};
 
 /// A (sub-)allocation of the TofuD 6D mesh/torus.
 ///
@@ -39,23 +29,9 @@ class Topology {
   long node_of(const TofuCoord& c) const;
 
   /// Dimension-order-routing hop count between two nodes: the sum of
-  /// per-axis torus/mesh distances.
+  /// per-axis torus/mesh distances. Production routes through
+  /// LinkTelemetry::route; tests check its routes against this.
   int hops(long u, long v) const;
-
-  /// "topo map": embed an MD node grid (mx, my, mz) into the 6D torus so
-  /// that grid-adjacent MD nodes are network-adjacent. The MD X axis is
-  /// folded over (cell X, A), Y over (cell Y, B), Z over (cell Z, C):
-  /// grid position (i, j, k) -> (i/2, j/3, k/2, i%2, j%3, k%2).
-  /// Requires mx <= 2*cells_x, my <= 3*cells_y, mz <= 2*cells_z.
-  std::vector<long> map_md_grid(Int3 md_nodes) const;
-
-  /// Naive mapping (rank order = node id order), the no-topo-map baseline.
-  std::vector<long> map_linear(Int3 md_nodes) const;
-
-  /// Evaluate how well `mapping` preserves MD adjacency: average and max
-  /// network hops over every pair of 26-neighboring MD grid nodes.
-  MappingStats adjacency_stats(Int3 md_nodes,
-                               const std::vector<long>& mapping) const;
 
  private:
   Int3 cells_;

@@ -305,8 +305,8 @@ TEST(CommUtofu, Brick3StageStepsAllocateNothingInComm) {
   // view of the ring slot, so a step without a rebuild makes no heap
   // allocation in the Comm stage. 19 steps stay short of the first
   // rebuild (neigh every 20); the guard checks steps 5..19. The async
-  // executor runs the forward inside the step DAG, whose allocations
-  // land on stage:Pair, so that row must be absent too.
+  // executor runs the forward inside the step DAG, timed as Pair, so
+  // the stage:Pair row must be absent too.
   if (!obs::alloc_trace_compiled_in()) {
     GTEST_SKIP() << "LMP_ALLOC_TRACE=OFF: guard disarms itself";
   }

@@ -66,31 +66,11 @@ TEST(Decomposition, OwnerOfWrapsOutsidePoints) {
   EXPECT_EQ(d.owner_of({-1, 5, 5}), d.owner_of({11, 5, 5}));
 }
 
-TEST(ChooseGrid, CubicForCube) {
-  EXPECT_EQ(choose_grid(8, {1, 1, 1}), (util::Int3{2, 2, 2}));
-  EXPECT_EQ(choose_grid(27, {1, 1, 1}), (util::Int3{3, 3, 3}));
-}
-
-TEST(ChooseGrid, FollowsAspectRatio) {
-  const util::Int3 g = choose_grid(4, {4, 1, 1});
-  EXPECT_EQ(g.x, 4);
-  EXPECT_EQ(g.y, 1);
-  EXPECT_EQ(g.z, 1);
-}
-
-TEST(ChooseGrid, ProductIsExact) {
-  for (int n : {1, 2, 6, 12, 36, 100}) {
-    const util::Int3 g = choose_grid(n, {1, 2, 3});
-    EXPECT_EQ(g.x * g.y * g.z, n);
-  }
-}
-
 TEST(Decomposition, InvalidInputsThrow) {
   EXPECT_THROW(make({0, 1, 1}), std::invalid_argument);
   const Decomposition d = make({2, 2, 2});
   EXPECT_THROW(d.coord_of(8), std::out_of_range);
   EXPECT_THROW(d.coord_of(-1), std::out_of_range);
-  EXPECT_THROW(choose_grid(0, {1, 1, 1}), std::invalid_argument);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <string>
 
 #include "md/config.h"
+#include "obs/alloc_tracker.h"
 #include "obs/tracer.h"
 #include "sim/simulation.h"
 
@@ -162,6 +163,30 @@ TEST(Executor, BarrierRunsStepGraphOnRankThreads) {
   // One graph run per rank for the startup evaluation and every step.
   EXPECT_EQ(reduce, 2 * (kSteps + 1));
   EXPECT_EQ(interior, 2 * (kSteps + 1));
+}
+
+TEST(Executor, AsyncChargesOverlappedForwardAllocsToComm) {
+  // The allocation ledger charges the forward exchange to stage:Comm
+  // under both executors, even where the async DAG overlaps it with
+  // force work. So the post-warmup stage:Pair row of the ref melt
+  // (examples/in.melt.lj) is the same under async as under barrier.
+  if (!obs::alloc_trace_compiled_in()) {
+    GTEST_SKIP() << "LMP_ALLOC_TRACE=OFF: guard disarms itself";
+  }
+  const auto pair_allocs = [](const char* executor) {
+    SimOptions o = lj_case("ref");
+    o.rank_grid = {2, 2, 2};
+    o.thermo_every = 20;
+    o.executor = executor;
+    o.alloc_guard = true;
+    const JobResult r = run_simulation(o, 100);
+    EXPECT_TRUE(r.alloc_guard.tracker_available);
+    for (const obs::AllocSlotStats& row : r.alloc_guard.rows) {
+      if (std::strcmp(row.name, "stage:Pair") == 0) return row.allocs;
+    }
+    return std::uint64_t{0};
+  };
+  EXPECT_EQ(pair_allocs("async"), pair_allocs("barrier"));
 }
 
 TEST(Executor, AsyncNewtonOffUsesRingForward) {

@@ -60,36 +60,6 @@ TEST(Topology, IntraCellNeighborsOneHop) {
   EXPECT_EQ(t.hops(t.node_of(a), t.node_of(c)), 1);  // B is a 3-torus
 }
 
-TEST(Topology, MdMappingKeepsNeighborsClose) {
-  const Topology t(4, 4, 4);
-  const util::Int3 md{8, 12, 8};  // fits 2x, 3x, 2x cells
-  const auto mapping = t.map_md_grid(md);
-  const MappingStats topo = t.adjacency_stats(md, mapping);
-  const MappingStats naive = t.adjacency_stats(md, t.map_linear(md));
-  // The topo map (Sec. 3.5.3) must beat the naive linear placement.
-  EXPECT_LT(topo.avg_hops_between_adjacent, naive.avg_hops_between_adjacent);
-  // Interior MD-adjacent nodes stay within a handful of hops; the MD
-  // grid's periodic wrap pairs cross the whole (mesh, non-wrapping)
-  // sub-allocation, which bounds the worst pair by ~3 axes * (cells-1).
-  EXPECT_LE(topo.max_hops_between_adjacent, 12);
-  EXPECT_LE(topo.max_hops_between_adjacent, naive.max_hops_between_adjacent);
-}
-
-TEST(Topology, MdMappingIsInjective) {
-  const Topology t(2, 2, 2);
-  const util::Int3 md{4, 6, 4};
-  auto mapping = t.map_md_grid(md);
-  std::sort(mapping.begin(), mapping.end());
-  EXPECT_EQ(std::adjacent_find(mapping.begin(), mapping.end()), mapping.end());
-}
-
-TEST(Topology, MdGridMustFit) {
-  const Topology t(2, 2, 2);
-  EXPECT_THROW(t.map_md_grid({5, 1, 1}), std::invalid_argument);  // > 2*2
-  EXPECT_THROW(t.map_md_grid({1, 7, 1}), std::invalid_argument);  // > 3*2
-  EXPECT_NO_THROW(t.map_md_grid({4, 6, 4}));
-}
-
 TEST(Topology, InvalidConstruction) {
   EXPECT_THROW(Topology(0, 1, 1), std::invalid_argument);
   EXPECT_THROW(Topology(25, 1, 1), std::invalid_argument);  // > machine X
