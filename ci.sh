@@ -262,41 +262,68 @@ run_executor_smoke() {
   local work
   work=$(mktemp -d)
   trap 'rm -rf "${work}"' RETURN
-  sed 's/^processors .*/processors      2 1 1/' examples/in.melt.lj \
-      > "${work}/in.melt.lj"
+  # 2 ranks x 2 busy threads fit 4 cores. The 16x6x6 box gives each
+  # rank an interior force group (one that reads no ghosts) that takes
+  # longer than the forward's sends: the work the async executor runs
+  # while another thread waits on the forward. 300 steps give a rank's
+  # pool worker, which a loaded host can keep off-CPU for a 100-step
+  # run, time to join some step's graph.
+  sed -e 's/^processors .*/processors      2 1 1/' \
+      -e 's/^region .*/region          box block 0 16 0 6 0 6/' \
+      -e 's/^run .*/run             300/' \
+      examples/in.melt.lj > "${work}/in.melt.lj"
   grep -q '^processors *2 1 1$' "${work}/in.melt.lj" \
-      || { echo "executor smoke: could not set the 2x1x1 rank grid"; return 1; }
-  local attempt
-  for attempt in 1 2; do
+      && grep -q '^region *box block 0 16 0 6 0 6$' "${work}/in.melt.lj" \
+      && grep -q '^run *300$' "${work}/in.melt.lj" \
+      || { echo "executor smoke: could not rewrite the melt script"; return 1; }
+  local ex
+  for ex in barrier async; do
     "${build_dir}/examples/lmp_cli" "${work}/in.melt.lj" 6tni_p2p \
-        --executor barrier --dump-final "${work}/barrier.dump" \
-        --trace "${work}/barrier.trace.json" \
-        --report "${work}/barrier.report.json" > /dev/null
-    "${build_dir}/examples/lmp_cli" "${work}/in.melt.lj" 6tni_p2p \
-        --executor async --dump-final "${work}/async.dump" \
-        --trace "${work}/async.trace.json" \
-        --report "${work}/async.report.json" > /dev/null
-    diff "${work}/barrier.dump" "${work}/async.dump" \
-        || { echo "executor smoke: async trajectory diverged from barrier"; return 1; }
-    if python3 - "${work}/barrier.report.json" "${work}/async.report.json" <<'EOF'
-import json, sys
-waits = []
-for path in sys.argv[1:]:
-    cp = json.load(open(path)).get("critical_path", {})
-    assert "notice_wait" in cp, f"{path}: traced report lacks notice_wait"
-    waits.append(cp["notice_wait"]["seconds"])
-b, a = waits
-print(f"executor smoke: trajectories bitwise-identical; notice_wait "
-      f"barrier={b*1e3:.2f}ms async={a*1e3:.2f}ms "
-      f"({'below' if a < b else 'NOT below'})")
-sys.exit(0 if a < b else 1)
-EOF
-    then
-      return 0
-    fi
-    echo "executor smoke: async notice_wait not below barrier (attempt ${attempt})"
+        --executor "${ex}" --dump-final "${work}/${ex}.dump" \
+        --trace "${work}/${ex}.trace.json" > /dev/null
   done
-  return 1
+  diff "${work}/barrier.dump" "${work}/async.dump" \
+      || { echo "executor smoke: async trajectory diverged from barrier"; return 1; }
+  # Overlap is decided on the trace's structure, not on wall-clock wait
+  # totals: under async every rank runs an interior force group while
+  # another of its threads waits on the forward; under barrier none does.
+  python3 - "${work}/barrier.trace.json" "${work}/async.trace.json" <<'EOF'
+import json, sys
+from collections import defaultdict
+
+def spans(path):
+    """name -> rank pid -> [(tid, start, end)] for the two span names."""
+    by = defaultdict(lambda: defaultdict(list))
+    for e in json.load(open(path))["traceEvents"]:
+        if e.get("ph") == "X" and e["name"] in ("task.interior", "wait.forward"):
+            by[e["name"]][e["pid"]].append((e["tid"], e["ts"], e["ts"] + e["dur"]))
+    return by
+
+def overlapping_pids(by):
+    """Pids where a task.interior span overlaps a wait.forward span on a
+    different tid of the same pid."""
+    return {pid for pid, interior in by["task.interior"].items()
+            if any(ti != tw and s0 < w1 and w0 < s1
+                   for ti, s0, s1 in interior
+                   for tw, w0, w1 in by["wait.forward"].get(pid, []))}
+
+barrier, asyn = spans(sys.argv[1]), spans(sys.argv[2])
+for path, by in zip(sys.argv[1:], (barrier, asyn)):
+    for name in ("task.interior", "wait.forward"):
+        if not by[name]:
+            sys.exit(f"executor smoke: {path} has no {name} span (parser blind?)")
+if overlapping_pids(barrier):
+    sys.exit("executor smoke: the barrier trace overlaps interior work with "
+             "the forward wait (checker blind?)")
+ranks = set(asyn["task.interior"]) | set(asyn["wait.forward"])
+missing = sorted(ranks - overlapping_pids(asyn))
+if missing:
+    sys.exit(f"executor smoke: async rank pids {missing} never ran interior "
+             "work during a forward wait")
+print(f"executor smoke: trajectories bitwise-identical; interior work "
+      f"overlaps the forward wait on all {len(ranks)} async ranks, on none "
+      f"under barrier")
+EOF
 }
 
 # Telemetry smoke: boot lmp_serve with the stream endpoint on a

@@ -5,6 +5,9 @@
 #include <cstdint>
 #include <cstring>
 #include <span>
+#include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 namespace lmp::comm {
@@ -130,10 +133,12 @@ inline std::uint32_t crc32(const void* data, std::size_t len) {
 
 // --- length-prefixed frames ---------------------------------------------
 //
-// The byte-stream framing used wherever messages travel outside the
-// fabric's fixed-slot channels: the job server's request/response
-// protocol and the durable job journal. Layout (host-endian, like the
-// checkpoint format):
+// The byte-stream framing used wherever records travel or rest outside
+// the fabric's fixed-slot channels: the job server's request/response
+// protocol, the durable job journal, and checkpoint files. Each user
+// owns a disjoint type range (protocol 0x01xx, journal 0x4A0x,
+// checkpoint 0x4B0x), so one kind of stream handed to another's reader
+// is refused as an unknown type. Layout (host-endian):
 //
 //   u32 magic   "LMPF" (0x464D504C little-endian on x86)
 //   u16 type    application-defined frame type
@@ -185,9 +190,17 @@ struct FrameView {
   bool ok() const { return status == FrameStatus::kOk; }
 };
 
-/// Append one frame (header + payload) to `out`.
+/// Append one frame (header + payload) to `out`. A payload above
+/// kMaxFramePayload throws std::length_error before `out` is touched:
+/// decode_frame would refuse it as kOversized, so it is never written.
 inline void append_frame(std::vector<char>& out, std::uint16_t type,
                          const void* payload, std::size_t len) {
+  if (len > kMaxFramePayload) {
+    throw std::length_error("frame payload of " + std::to_string(len) +
+                            " bytes exceeds the " +
+                            std::to_string(kMaxFramePayload) +
+                            "-byte frame bound");
+  }
   char hdr[kFrameHeaderBytes];
   const std::uint32_t magic = kFrameMagic;
   const std::uint16_t flags = 0;
@@ -256,6 +269,108 @@ inline FrameView decode_frame(const char* data, std::size_t len) {
   v.consumed = kFrameHeaderBytes + length;
   return v;
 }
+
+// --- frame payloads ------------------------------------------------------
+//
+// The one binary record codec: every frame payload (protocol messages,
+// journal records, checkpoint frames) is written with WireWriter and
+// read back with WireReader. Fields are host-endian raw bytes; strings
+// are a u32 length then the bytes.
+
+/// A frame payload that does not decode: truncated field, trailing
+/// bytes, out-of-range enum, or a count the payload cannot back. The
+/// message names the record through the reader's context string.
+class DecodeError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
+/// Append-only writer for one frame payload.
+class WireWriter {
+ public:
+  /// Starts with room for a typical record. (This also keeps GCC 12's
+  /// -Wstringop-overflow from misreading an inlined grow-from-empty
+  /// insert as an overflow.)
+  WireWriter() { buf_.reserve(64); }
+
+  void u8(std::uint8_t v) { raw(&v, sizeof v); }
+  void u16(std::uint16_t v) { raw(&v, sizeof v); }
+  void u32(std::uint32_t v) { raw(&v, sizeof v); }
+  void u64(std::uint64_t v) { raw(&v, sizeof v); }
+  void i32(std::int32_t v) { raw(&v, sizeof v); }
+  void i64(std::int64_t v) { raw(&v, sizeof v); }
+  void f64(double v) { raw(&v, sizeof v); }
+  void str(const std::string& s) {
+    u32(static_cast<std::uint32_t>(s.size()));
+    raw(s.data(), s.size());
+  }
+  const std::vector<char>& bytes() const { return buf_; }
+
+ private:
+  void raw(const void* p, std::size_t n) {
+    const char* c = static_cast<const char*>(p);
+    buf_.insert(buf_.end(), c, c + n);
+  }
+  std::vector<char> buf_;
+};
+
+/// Bounds-checked reader over one frame payload. Throws DecodeError
+/// (never reads past the end) on truncation; expect_done() rejects
+/// trailing bytes. `what` names the record in every message
+/// ("serve submit request", "checkpoint meta frame 1 of <path>").
+class WireReader {
+ public:
+  WireReader(const char* data, std::size_t len, std::string what)
+      : p_(data), end_(data + len), what_(std::move(what)) {}
+
+  std::uint8_t u8() { return get<std::uint8_t>(); }
+  std::uint16_t u16() { return get<std::uint16_t>(); }
+  std::uint32_t u32() { return get<std::uint32_t>(); }
+  std::uint64_t u64() { return get<std::uint64_t>(); }
+  std::int32_t i32() { return get<std::int32_t>(); }
+  std::int64_t i64() { return get<std::int64_t>(); }
+  double f64() { return get<double>(); }
+  std::string str() {
+    const std::uint32_t n = u32();
+    need(n);
+    std::string s(p_, p_ + n);
+    p_ += n;
+    return s;
+  }
+  /// A declared element count, checked before anything is sized by it:
+  /// each element takes at least `each` of the payload bytes left, so a
+  /// forged count fails here instead of as a huge allocation.
+  std::size_t count(std::int64_t n, std::size_t each) const {
+    const auto left = static_cast<std::size_t>(end_ - p_);
+    if (n < 0 || static_cast<std::uint64_t>(n) > left / each) {
+      throw DecodeError(what_ + ": count " + std::to_string(n) +
+                        " exceeds what " + std::to_string(left) +
+                        " bytes can hold");
+    }
+    return static_cast<std::size_t>(n);
+  }
+  void expect_done() const {
+    if (p_ != end_) throw DecodeError(what_ + ": trailing bytes");
+  }
+
+ private:
+  template <class T>
+  T get() {
+    need(sizeof(T));
+    T v;
+    std::memcpy(&v, p_, sizeof(T));
+    p_ += sizeof(T);
+    return v;
+  }
+  void need(std::uint64_t n) const {
+    if (n > static_cast<std::uint64_t>(end_ - p_)) {
+      throw DecodeError(what_ + ": truncated");
+    }
+  }
+  const char* p_;
+  const char* end_;
+  std::string what_;
+};
 
 /// Bit-cast an int64 tag into a double payload slot and back (`message
 /// combine`, Sec. 3.5.1: header fields ride inside the payload so arrays

@@ -5,6 +5,9 @@
 
 namespace lmp::serve {
 
+using comm::WireReader;
+using comm::WireWriter;
+
 namespace {
 
 // Journal record types — a private range disjoint from MsgType so a
@@ -34,7 +37,7 @@ void encode_job(WireWriter& w, const JournalJob& j) {
 }
 
 JournalJob decode_job(const char* payload, std::size_t len) {
-  WireReader r(payload, len, "journal submit record");
+  WireReader r(payload, len, "job journal submit record");
   JournalJob j;
   j.id = r.u64();
   j.tenant = r.str();
@@ -114,7 +117,7 @@ void JobJournal::open(const std::string& path) {
     }
     switch (f.type) {
       case kRecHeader: {
-        WireReader r(f.payload, f.payload_len, "journal header");
+        WireReader r(f.payload, f.payload_len, "job journal header");
         const std::uint32_t version = r.u32();
         r.expect_done();
         if (version != kJournalVersion) {
@@ -130,7 +133,7 @@ void JobJournal::open(const std::string& path) {
         break;
       }
       case kRecState: {
-        WireReader r(f.payload, f.payload_len, "journal state record");
+        WireReader r(f.payload, f.payload_len, "job journal state record");
         const std::uint64_t id = r.u64();
         const JobState state = to_job_state(r.u8());
         const std::uint16_t attempts = r.u16();

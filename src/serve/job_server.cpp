@@ -833,7 +833,8 @@ std::vector<char> JobServer::handle_frames(const char* data, std::size_t len,
           break;
         }
         case MsgType::kStatsJson: {
-          WireReader r(f.payload, f.payload_len, "stats-json request");
+          comm::WireReader r(f.payload, f.payload_len,
+                             "serve stats-json request");
           r.expect_done();
           encode_stats_json_reply(out, telemetry_snapshot_json());
           break;
@@ -853,7 +854,7 @@ std::vector<char> JobServer::handle_frames(const char* data, std::size_t len,
           break;
       }
     } catch (const std::exception& e) {
-      // ProtocolError from a malformed payload, or an I/O failure from
+      // comm::DecodeError from a malformed payload, or an I/O failure from
       // the journal: the connection gets a structured error, the server
       // stays up.
       encode_error(out, ErrorReply{e.what()});

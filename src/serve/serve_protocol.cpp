@@ -1,11 +1,11 @@
 #include "serve/serve_protocol.h"
 
-#include <algorithm>
-#include <cstring>
-
 #include "util/table_printer.h"
 
 namespace lmp::serve {
+
+using comm::WireReader;
+using comm::WireWriter;
 
 namespace {
 
@@ -53,15 +53,16 @@ void finish(std::vector<char>& out, MsgType type, const WireWriter& w) {
 
 JobState to_job_state(std::uint8_t v) {
   if (v >= static_cast<std::uint8_t>(JobState::kCount)) {
-    throw ProtocolError("serve: job state out of range: " + std::to_string(v));
+    throw comm::DecodeError("serve: job state out of range: " +
+                            std::to_string(v));
   }
   return static_cast<JobState>(v);
 }
 
 RejectReason to_reject_reason(std::uint8_t v) {
   if (v >= static_cast<std::uint8_t>(RejectReason::kCount)) {
-    throw ProtocolError("serve: reject reason out of range: " +
-                        std::to_string(v));
+    throw comm::DecodeError("serve: reject reason out of range: " +
+                            std::to_string(v));
   }
   return static_cast<RejectReason>(v);
 }
@@ -77,7 +78,7 @@ void encode_submit(std::vector<char>& out, const SubmitRequest& m) {
 }
 
 SubmitRequest decode_submit(const char* payload, std::size_t len) {
-  WireReader r(payload, len, "submit");
+  WireReader r(payload, len, "serve submit request");
   SubmitRequest m;
   m.tenant = r.str();
   m.name = r.str();
@@ -100,7 +101,7 @@ void encode_submit_reply(std::vector<char>& out, const SubmitReply& m) {
 }
 
 SubmitReply decode_submit_reply(const char* payload, std::size_t len) {
-  WireReader r(payload, len, "submit reply");
+  WireReader r(payload, len, "serve submit reply");
   SubmitReply m;
   m.accepted = r.u8() != 0;
   m.already_known = r.u8() != 0;
@@ -119,7 +120,7 @@ void encode_status(std::vector<char>& out, const StatusRequest& m) {
 }
 
 StatusRequest decode_status(const char* payload, std::size_t len) {
-  WireReader r(payload, len, "status");
+  WireReader r(payload, len, "serve status request");
   StatusRequest m;
   m.job_id = r.u64();
   r.expect_done();
@@ -141,7 +142,7 @@ void encode_status_reply(std::vector<char>& out, const JobStatus& m) {
 }
 
 JobStatus decode_status_reply(const char* payload, std::size_t len) {
-  WireReader r(payload, len, "status reply");
+  WireReader r(payload, len, "serve status reply");
   JobStatus m;
   m.job_id = r.u64();
   m.tenant = r.str();
@@ -165,7 +166,7 @@ void encode_fetch(std::vector<char>& out, const FetchRequest& m) {
 }
 
 FetchRequest decode_fetch(const char* payload, std::size_t len) {
-  WireReader r(payload, len, "fetch");
+  WireReader r(payload, len, "serve fetch request");
   FetchRequest m;
   m.job_id = r.u64();
   m.from_chunk = r.u32();
@@ -186,19 +187,15 @@ void encode_chunks_reply(std::vector<char>& out, const ChunksReply& m) {
 }
 
 ChunksReply decode_chunks_reply(const char* payload, std::size_t len) {
-  WireReader r(payload, len, "chunks reply");
+  WireReader r(payload, len, "serve chunks reply");
   ChunksReply m;
   m.job_id = r.u64();
   m.from_chunk = r.u32();
   m.state = to_job_state(r.u8());
   m.terminal = r.u8() != 0;
   const std::uint32_t n = r.u32();
-  // Every chunk costs at least its 4-byte length prefix, so a count a
-  // forged frame can actually back is bounded by len/4 — clamp the
-  // reserve to that instead of trusting the declared count (which could
-  // otherwise demand a multi-GB allocation before the per-string bounds
-  // checks get to reject the payload).
-  m.chunks.reserve(std::min<std::size_t>(n, len / 4));
+  // Every chunk costs at least its 4-byte length prefix.
+  m.chunks.reserve(r.count(n, 4));
   for (std::uint32_t i = 0; i < n; ++i) m.chunks.push_back(r.str());
   r.expect_done();
   return m;
@@ -211,7 +208,7 @@ void encode_cancel(std::vector<char>& out, const CancelRequest& m) {
 }
 
 CancelRequest decode_cancel(const char* payload, std::size_t len) {
-  WireReader r(payload, len, "cancel");
+  WireReader r(payload, len, "serve cancel request");
   CancelRequest m;
   m.job_id = r.u64();
   r.expect_done();
@@ -227,7 +224,7 @@ void encode_cancel_reply(std::vector<char>& out, const CancelReply& m) {
 }
 
 CancelReply decode_cancel_reply(const char* payload, std::size_t len) {
-  WireReader r(payload, len, "cancel reply");
+  WireReader r(payload, len, "serve cancel reply");
   CancelReply m;
   m.job_id = r.u64();
   m.found = r.u8() != 0;
@@ -248,7 +245,7 @@ void encode_stats_json_reply(std::vector<char>& out, const std::string& json) {
 }
 
 std::string decode_stats_json_reply(const char* payload, std::size_t len) {
-  WireReader r(payload, len, "stats-json reply");
+  WireReader r(payload, len, "serve stats-json reply");
   std::string json = r.str();
   r.expect_done();
   return json;
@@ -262,7 +259,7 @@ void encode_watch(std::vector<char>& out, const WatchRequest& m) {
 }
 
 WatchRequest decode_watch(const char* payload, std::size_t len) {
-  WireReader r(payload, len, "watch request");
+  WireReader r(payload, len, "serve watch request");
   WatchRequest m;
   m.interval_ms = r.u32();
   m.max_frames = r.u32();
@@ -277,7 +274,7 @@ void encode_error(std::vector<char>& out, const ErrorReply& m) {
 }
 
 ErrorReply decode_error(const char* payload, std::size_t len) {
-  WireReader r(payload, len, "error reply");
+  WireReader r(payload, len, "serve error reply");
   ErrorReply m;
   m.detail = r.str();
   r.expect_done();

@@ -2,23 +2,12 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "comm/msg_codec.h"
 
 namespace lmp::serve {
-
-/// A request/response payload that does not decode (truncated field,
-/// trailing junk, out-of-range enum). The endpoint converts it into a
-/// kError reply — a malformed client frame must never take the server
-/// down.
-class ProtocolError : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
-};
 
 /// End-of-run summary of a job-server session: the admission-control and
 /// retry/deadline counters the serving layer accumulates, plus queue
@@ -69,78 +58,6 @@ struct ServeStats {
 /// rejected / retried / deadline-missed, queue gauges), matching the
 /// established fixed-width layout.
 std::string format_server_table(const ServeStats& s);
-
-// --- wire primitives ----------------------------------------------------
-
-/// Append-only little binary writer (host-endian, like the checkpoint
-/// format): the payload side of one frame.
-class WireWriter {
- public:
-  void u8(std::uint8_t v) { raw(&v, sizeof v); }
-  void u16(std::uint16_t v) { raw(&v, sizeof v); }
-  void u32(std::uint32_t v) { raw(&v, sizeof v); }
-  void u64(std::uint64_t v) { raw(&v, sizeof v); }
-  void i32(std::int32_t v) { raw(&v, sizeof v); }
-  void f64(double v) { raw(&v, sizeof v); }
-  void str(const std::string& s) {
-    u32(static_cast<std::uint32_t>(s.size()));
-    raw(s.data(), s.size());
-  }
-  const std::vector<char>& bytes() const { return buf_; }
-
- private:
-  void raw(const void* p, std::size_t n) {
-    const char* c = static_cast<const char*>(p);
-    buf_.insert(buf_.end(), c, c + n);
-  }
-  std::vector<char> buf_;
-};
-
-/// Bounds-checked reader over one frame payload. Throws ProtocolError
-/// (never reads past the end) on truncation; expect_done() rejects
-/// trailing junk.
-class WireReader {
- public:
-  WireReader(const char* data, std::size_t len, std::string what)
-      : p_(data), end_(data + len), what_(std::move(what)) {}
-
-  std::uint8_t u8() { return get<std::uint8_t>(); }
-  std::uint16_t u16() { return get<std::uint16_t>(); }
-  std::uint32_t u32() { return get<std::uint32_t>(); }
-  std::uint64_t u64() { return get<std::uint64_t>(); }
-  std::int32_t i32() { return get<std::int32_t>(); }
-  double f64() { return get<double>(); }
-  std::string str() {
-    const std::uint32_t n = u32();
-    need(n);
-    std::string s(p_, p_ + n);
-    p_ += n;
-    return s;
-  }
-  void expect_done() const {
-    if (p_ != end_) {
-      throw ProtocolError("serve: trailing bytes in " + what_);
-    }
-  }
-
- private:
-  template <class T>
-  T get() {
-    need(sizeof(T));
-    T v;
-    std::memcpy(&v, p_, sizeof(T));
-    p_ += sizeof(T);
-    return v;
-  }
-  void need(std::uint64_t n) const {
-    if (n > static_cast<std::uint64_t>(end_ - p_)) {
-      throw ProtocolError("serve: truncated " + what_);
-    }
-  }
-  const char* p_;
-  const char* end_;
-  std::string what_;
-};
 
 // --- job model ----------------------------------------------------------
 
@@ -301,7 +218,7 @@ struct ErrorReply {
 };
 
 // Each encode_* appends one whole frame (header + payload) to `out`;
-// each decode_* parses one frame payload and throws ProtocolError on
+// each decode_* parses one frame payload and throws comm::DecodeError on
 // malformed bytes.
 
 void encode_submit(std::vector<char>& out, const SubmitRequest& m);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
@@ -16,202 +15,80 @@ namespace lmp::sim {
 
 namespace {
 
-// Section tags. A file is magic + version, then tagged CRC'd sections,
-// then the end marker (empty section). Unknown tags are an error — the
-// version field, not tag skipping, is the compatibility mechanism.
-constexpr std::uint32_t kTagMeta = 1;
-constexpr std::uint32_t kTagRanks = 2;
-constexpr std::uint32_t kTagThermo = 3;
-constexpr std::uint32_t kTagEnd = 0xFFFFFFFFu;
+// Frame types (comm/msg_codec.h frames): a private range disjoint from
+// the serve protocol's 0x01xx and the job journal's 0x4A0x, so either
+// stream handed to read_checkpoint is refused as "not a checkpoint",
+// and a checkpoint handed to theirs as an unknown type. A file is the
+// header, meta, one atoms frame per rank in rank order, thermo, then end
+// of file; the version in the header, not type skipping, is the
+// compatibility mechanism.
+constexpr std::uint16_t kFrameHeader = 0x4B00;
+constexpr std::uint16_t kFrameMeta = 0x4B01;
+constexpr std::uint16_t kFrameAtoms = 0x4B02;
+constexpr std::uint16_t kFrameThermo = 0x4B03;
 
-constexpr char kMagic[8] = {'L', 'M', 'P', 'C', 'K', 'P', 'T', '1'};
+// Encoded sizes that bound a declared count by the bytes behind it: one
+// atom (tag + pos + vel) and one thermo sample (step + four doubles).
+constexpr std::size_t kAtomBytes = sizeof(std::int64_t) + 6 * sizeof(double);
+constexpr std::size_t kSampleBytes = sizeof(std::int32_t) + 4 * sizeof(double);
 
-/// Append-only little binary writer (host-endian raw bytes).
-class Encoder {
- public:
-  void u32(std::uint32_t v) { raw(&v, sizeof v); }
-  void u64(std::uint64_t v) { raw(&v, sizeof v); }
-  void i32(std::int32_t v) { raw(&v, sizeof v); }
-  void i64(std::int64_t v) { raw(&v, sizeof v); }
-  void f64(double v) { raw(&v, sizeof v); }
-  void vec3(const util::Vec3& v) {
-    f64(v.x);
-    f64(v.y);
-    f64(v.z);
-  }
-  void str(const std::string& s) {
-    u64(s.size());
-    raw(s.data(), s.size());
-  }
-  const std::vector<char>& bytes() const { return buf_; }
-
- private:
-  void raw(const void* p, std::size_t n) {
-    const char* c = static_cast<const char*>(p);
-    buf_.insert(buf_.end(), c, c + n);
-  }
-  std::vector<char> buf_;
-};
-
-/// Bounds-checked reader over one section payload.
-class Decoder {
- public:
-  Decoder(const char* data, std::size_t len, std::string section)
-      : p_(data), end_(data + len), section_(std::move(section)) {}
-
-  std::uint32_t u32() { return get<std::uint32_t>(); }
-  std::uint64_t u64() { return get<std::uint64_t>(); }
-  std::int32_t i32() { return get<std::int32_t>(); }
-  std::int64_t i64() { return get<std::int64_t>(); }
-  double f64() { return get<double>(); }
-  util::Vec3 vec3() {
-    util::Vec3 v;
-    v.x = f64();
-    v.y = f64();
-    v.z = f64();
-    return v;
-  }
-  std::string str() {
-    const std::uint64_t n = u64();
-    need(n);
-    std::string s(p_, p_ + n);
-    p_ += n;
-    return s;
-  }
-  void expect_done() const {
-    if (p_ != end_) {
-      throw std::runtime_error("checkpoint: trailing bytes in section '" +
-                               section_ + "'");
-    }
-  }
-
- private:
-  template <class T>
-  T get() {
-    need(sizeof(T));
-    T v;
-    std::memcpy(&v, p_, sizeof(T));
-    p_ += sizeof(T);
-    return v;
-  }
-  void need(std::uint64_t n) const {
-    if (n > static_cast<std::uint64_t>(end_ - p_)) {
-      throw std::runtime_error("checkpoint: truncated section '" + section_ +
-                               "'");
-    }
-  }
-  const char* p_;
-  const char* end_;
-  std::string section_;
-};
-
-void encode_meta(Encoder& e, const CheckpointState& st) {
-  e.i32(st.step);
-  e.i32(st.checkpoint_every);
-  e.u64(st.seed);
-  e.i64(st.natoms);
-  e.i32(st.cells.x);
-  e.i32(st.cells.y);
-  e.i32(st.cells.z);
-  e.i32(st.rank_grid.x);
-  e.i32(st.rank_grid.y);
-  e.i32(st.rank_grid.z);
-  e.vec3(st.box.lo);
-  e.vec3(st.box.hi);
-  e.i32(static_cast<std::int32_t>(st.rank_atoms.size()));
-  e.str(st.comm_variant);
+void put_vec3(comm::WireWriter& w, const util::Vec3& v) {
+  w.f64(v.x);
+  w.f64(v.y);
+  w.f64(v.z);
 }
 
-void decode_meta(Decoder& d, CheckpointState& st, std::int32_t& nranks) {
-  st.step = d.i32();
-  st.checkpoint_every = d.i32();
-  st.seed = d.u64();
-  st.natoms = static_cast<long>(d.i64());
-  st.cells.x = d.i32();
-  st.cells.y = d.i32();
-  st.cells.z = d.i32();
-  st.rank_grid.x = d.i32();
-  st.rank_grid.y = d.i32();
-  st.rank_grid.z = d.i32();
-  st.box.lo = d.vec3();
-  st.box.hi = d.vec3();
-  nranks = d.i32();
-  st.comm_variant = d.str();
-  d.expect_done();
+util::Vec3 get_vec3(comm::WireReader& r) {
+  util::Vec3 v;
+  v.x = r.f64();
+  v.y = r.f64();
+  v.z = r.f64();
+  return v;
 }
 
-void encode_ranks(Encoder& e, const CheckpointState& st) {
-  for (const auto& atoms : st.rank_atoms) {
-    e.i64(static_cast<std::int64_t>(atoms.size()));
-    for (const AtomState& a : atoms) {
-      e.i64(a.tag);
-      e.vec3(a.pos);
-      e.vec3(a.vel);
-    }
+void put_meta(comm::WireWriter& w, const CheckpointState& st) {
+  w.i32(st.step);
+  w.i32(st.checkpoint_every);
+  w.u64(st.seed);
+  w.i64(st.natoms);
+  w.i32(st.cells.x);
+  w.i32(st.cells.y);
+  w.i32(st.cells.z);
+  w.i32(st.rank_grid.x);
+  w.i32(st.rank_grid.y);
+  w.i32(st.rank_grid.z);
+  put_vec3(w, st.box.lo);
+  put_vec3(w, st.box.hi);
+  w.i32(static_cast<std::int32_t>(st.rank_atoms.size()));
+  w.str(st.comm_variant);
+}
+
+void put_atoms(comm::WireWriter& w, const std::vector<AtomState>& atoms) {
+  w.i64(static_cast<std::int64_t>(atoms.size()));
+  for (const AtomState& a : atoms) {
+    w.i64(a.tag);
+    put_vec3(w, a.pos);
+    put_vec3(w, a.vel);
   }
 }
 
-void decode_ranks(Decoder& d, CheckpointState& st, std::int32_t nranks) {
-  if (nranks < 0) throw std::runtime_error("checkpoint: negative rank count");
-  st.rank_atoms.resize(static_cast<std::size_t>(nranks));
-  for (auto& atoms : st.rank_atoms) {
-    const std::int64_t n = d.i64();
-    if (n < 0) throw std::runtime_error("checkpoint: negative atom count");
-    atoms.resize(static_cast<std::size_t>(n));
-    for (AtomState& a : atoms) {
-      a.tag = d.i64();
-      a.pos = d.vec3();
-      a.vel = d.vec3();
-    }
-  }
-  d.expect_done();
-}
-
-void encode_thermo(Encoder& e, const CheckpointState& st) {
-  e.i64(static_cast<std::int64_t>(st.thermo.size()));
-  for (const ThermoSample& s : st.thermo) {
-    e.i32(s.step);
-    e.f64(s.state.temperature);
-    e.f64(s.state.pressure);
-    e.f64(s.state.kinetic);
-    e.f64(s.state.potential);
+void put_thermo(comm::WireWriter& w, const std::vector<ThermoSample>& thermo) {
+  w.i64(static_cast<std::int64_t>(thermo.size()));
+  for (const ThermoSample& s : thermo) {
+    w.i32(s.step);
+    w.f64(s.state.temperature);
+    w.f64(s.state.pressure);
+    w.f64(s.state.kinetic);
+    w.f64(s.state.potential);
   }
 }
 
-void decode_thermo(Decoder& d, CheckpointState& st) {
-  const std::int64_t n = d.i64();
-  if (n < 0) throw std::runtime_error("checkpoint: negative thermo count");
-  st.thermo.resize(static_cast<std::size_t>(n));
-  for (ThermoSample& s : st.thermo) {
-    s.step = d.i32();
-    s.state.temperature = d.f64();
-    s.state.pressure = d.f64();
-    s.state.kinetic = d.f64();
-    s.state.potential = d.f64();
-  }
-  d.expect_done();
-}
-
-void append_section(std::vector<char>& out, std::uint32_t tag,
-                    const std::vector<char>& payload) {
-  Encoder hdr;
-  hdr.u32(tag);
-  hdr.u64(payload.size());
-  out.insert(out.end(), hdr.bytes().begin(), hdr.bytes().end());
-  out.insert(out.end(), payload.begin(), payload.end());
-  const std::uint32_t crc = checkpoint_crc32(payload.data(), payload.size());
-  Encoder tail;
-  tail.u32(crc);
-  out.insert(out.end(), tail.bytes().begin(), tail.bytes().end());
+void put_frame(std::vector<char>& file, std::uint16_t type,
+               const comm::WireWriter& w) {
+  comm::append_frame(file, type, w.bytes().data(), w.bytes().size());
 }
 
 }  // namespace
-
-std::uint32_t checkpoint_crc32(const void* data, std::size_t len) {
-  // One CRC-32 for the whole tree: checkpoints, journal records, and
-  // wire frames all share comm::crc32 (same polynomial, same tables).
-  return comm::crc32(data, len);
-}
 
 std::uint64_t checkpoint_content_hash(const CheckpointState& st) {
   // Chain per-rank atom sections so both the bytes and their section
@@ -272,28 +149,26 @@ int prune_checkpoints(const std::string& prefix, int keep) {
 
 void write_checkpoint(const std::string& path, const CheckpointState& st) {
   std::vector<char> file;
-  file.insert(file.end(), kMagic, kMagic + sizeof kMagic);
   {
-    Encoder v;
-    v.u32(kCheckpointVersion);
-    file.insert(file.end(), v.bytes().begin(), v.bytes().end());
+    comm::WireWriter w;
+    w.u32(kCheckpointVersion);
+    put_frame(file, kFrameHeader, w);
   }
   {
-    Encoder e;
-    encode_meta(e, st);
-    append_section(file, kTagMeta, e.bytes());
+    comm::WireWriter w;
+    put_meta(w, st);
+    put_frame(file, kFrameMeta, w);
+  }
+  for (const auto& atoms : st.rank_atoms) {
+    comm::WireWriter w;
+    put_atoms(w, atoms);
+    put_frame(file, kFrameAtoms, w);
   }
   {
-    Encoder e;
-    encode_ranks(e, st);
-    append_section(file, kTagRanks, e.bytes());
+    comm::WireWriter w;
+    put_thermo(w, st.thermo);
+    put_frame(file, kFrameThermo, w);
   }
-  {
-    Encoder e;
-    encode_thermo(e, st);
-    append_section(file, kTagThermo, e.bytes());
-  }
-  append_section(file, kTagEnd, {});
 
   // Atomic, durable publish: tmp + fsync + rename + parent-dir fsync,
   // so a checkpoint that the journal (or a restart) points at survives
@@ -304,95 +179,104 @@ void write_checkpoint(const std::string& path, const CheckpointState& st) {
 CheckpointState read_checkpoint(const std::string& path) {
   std::ifstream is(path, std::ios::binary);
   if (!is) throw std::runtime_error("checkpoint: cannot open " + path);
-  std::vector<char> file((std::istreambuf_iterator<char>(is)),
-                         std::istreambuf_iterator<char>());
+  const std::vector<char> file((std::istreambuf_iterator<char>(is)),
+                               std::istreambuf_iterator<char>());
 
-  const char* p = file.data();
-  const char* end = p + file.size();
-  const auto need = [&](std::size_t n, const char* what) {
-    if (n > static_cast<std::size_t>(end - p)) {
-      throw std::runtime_error(std::string("checkpoint: truncated ") + what +
-                               " in " + path);
+  std::size_t off = 0;
+  int index = 0;
+  const auto fail = [&](const std::string& why) {
+    return std::runtime_error("checkpoint: " + why + " at frame " +
+                              std::to_string(index) + " of " + path);
+  };
+  // The payload of the next frame, which must be of `type`.
+  const auto next = [&](std::uint16_t type, const char* what) {
+    // At end of file there is no frame to decode (and an empty file has
+    // no buffer to hand decode_frame): both are a truncated checkpoint.
+    const comm::FrameView f =
+        off == file.size()
+            ? comm::FrameView{}
+            : comm::decode_frame(file.data() + off, file.size() - off);
+    switch (f.status) {
+      case comm::FrameStatus::kOk: break;
+      case comm::FrameStatus::kNeedMore: throw fail("truncated");
+      case comm::FrameStatus::kBadCrc: throw fail("CRC mismatch");
+      case comm::FrameStatus::kOversized: throw fail("oversized frame");
+      case comm::FrameStatus::kBadMagic: throw fail("not a checkpoint");
     }
+    if (f.type != type) {
+      const bool ours = f.type >= kFrameHeader && f.type <= kFrameThermo;
+      throw fail(ours ? std::string("expected the ") + what + " frame"
+                      : std::string("not a checkpoint"));
+    }
+    comm::WireReader r(f.payload, f.payload_len,
+                       std::string("checkpoint ") + what + " frame " +
+                           std::to_string(index) + " of " + path);
+    off += f.consumed;
+    ++index;
+    return r;
   };
 
-  need(sizeof kMagic, "magic");
-  if (std::memcmp(p, kMagic, sizeof kMagic) != 0) {
-    throw std::runtime_error("checkpoint: bad magic in " + path);
-  }
-  p += sizeof kMagic;
-
-  need(sizeof(std::uint32_t), "version");
-  std::uint32_t version;
-  std::memcpy(&version, p, sizeof version);
-  p += sizeof version;
-  if (version != kCheckpointVersion) {
-    throw std::runtime_error("checkpoint: unsupported version " +
-                             std::to_string(version) + " in " + path);
+  {
+    comm::WireReader r = next(kFrameHeader, "header");
+    const std::uint32_t version = r.u32();
+    r.expect_done();
+    if (version != kCheckpointVersion) {
+      throw std::runtime_error("checkpoint: unsupported version " +
+                               std::to_string(version) + " in " + path +
+                               " (this build reads version " +
+                               std::to_string(kCheckpointVersion) + ")");
+    }
   }
 
   CheckpointState st;
-  std::int32_t nranks = -1;
-  bool saw_meta = false, saw_ranks = false, saw_thermo = false, saw_end = false;
-  while (!saw_end) {
-    need(sizeof(std::uint32_t) + sizeof(std::uint64_t), "section header");
-    std::uint32_t tag;
-    std::uint64_t len;
-    std::memcpy(&tag, p, sizeof tag);
-    p += sizeof tag;
-    std::memcpy(&len, p, sizeof len);
-    p += sizeof len;
-    const char* name = tag == kTagMeta     ? "meta"
-                       : tag == kTagRanks  ? "ranks"
-                       : tag == kTagThermo ? "thermo"
-                       : tag == kTagEnd    ? "end"
-                                           : "unknown";
-    need(len, name);
-    const char* payload = p;
-    p += len;
-    need(sizeof(std::uint32_t), "section crc");
-    std::uint32_t stored;
-    std::memcpy(&stored, p, sizeof stored);
-    p += sizeof stored;
-    if (checkpoint_crc32(payload, len) != stored) {
-      throw std::runtime_error(std::string("checkpoint: CRC mismatch in "
-                                           "section '") +
-                               name + "' of " + path);
-    }
-    switch (tag) {
-      case kTagMeta: {
-        Decoder d(payload, len, "meta");
-        decode_meta(d, st, nranks);
-        saw_meta = true;
-        break;
-      }
-      case kTagRanks: {
-        if (!saw_meta) {
-          throw std::runtime_error("checkpoint: ranks section before meta in " +
-                                   path);
-        }
-        Decoder d(payload, len, "ranks");
-        decode_ranks(d, st, nranks);
-        saw_ranks = true;
-        break;
-      }
-      case kTagThermo: {
-        Decoder d(payload, len, "thermo");
-        decode_thermo(d, st);
-        saw_thermo = true;
-        break;
-      }
-      case kTagEnd:
-        saw_end = true;
-        break;
-      default:
-        throw std::runtime_error("checkpoint: unknown section tag " +
-                                 std::to_string(tag) + " in " + path);
-    }
+  std::int32_t nranks = 0;
+  {
+    comm::WireReader r = next(kFrameMeta, "meta");
+    st.step = r.i32();
+    st.checkpoint_every = r.i32();
+    st.seed = r.u64();
+    st.natoms = static_cast<long>(r.i64());
+    st.cells.x = r.i32();
+    st.cells.y = r.i32();
+    st.cells.z = r.i32();
+    st.rank_grid.x = r.i32();
+    st.rank_grid.y = r.i32();
+    st.rank_grid.z = r.i32();
+    st.box.lo = get_vec3(r);
+    st.box.hi = get_vec3(r);
+    nranks = r.i32();
+    st.comm_variant = r.str();
+    r.expect_done();
   }
-  if (!saw_meta || !saw_ranks || !saw_thermo) {
-    throw std::runtime_error("checkpoint: missing required section in " + path);
+  // One atoms frame per rank: the frames, not the declared count, size
+  // rank_atoms, so a forged count runs into the thermo frame or the end
+  // of the file instead of into an allocation.
+  for (std::int32_t rank = 0; rank < nranks; ++rank) {
+    comm::WireReader r = next(kFrameAtoms, "atoms");
+    std::vector<AtomState>& atoms = st.rank_atoms.emplace_back();
+    const std::int64_t n = r.i64();
+    atoms.resize(r.count(n, kAtomBytes));
+    for (AtomState& a : atoms) {
+      a.tag = r.i64();
+      a.pos = get_vec3(r);
+      a.vel = get_vec3(r);
+    }
+    r.expect_done();
   }
+  {
+    comm::WireReader r = next(kFrameThermo, "thermo");
+    const std::int64_t n = r.i64();
+    st.thermo.resize(r.count(n, kSampleBytes));
+    for (ThermoSample& s : st.thermo) {
+      s.step = r.i32();
+      s.state.temperature = r.f64();
+      s.state.pressure = r.f64();
+      s.state.kinetic = r.f64();
+      s.state.potential = r.f64();
+    }
+    r.expect_done();
+  }
+  if (off != file.size()) throw fail("trailing bytes after the thermo frame");
   return st;
 }
 

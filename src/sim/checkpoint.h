@@ -1,6 +1,5 @@
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -11,9 +10,11 @@
 
 namespace lmp::sim {
 
-/// On-disk format version. Bumped whenever the section layout changes;
-/// readers reject any other value instead of guessing.
-inline constexpr std::uint32_t kCheckpointVersion = 1;
+/// On-disk format version, carried by the file's header frame. Bumped
+/// whenever the frame layout changes; readers reject any other value
+/// instead of guessing. Version 2 made the file a sequence of
+/// comm/msg_codec.h frames.
+inline constexpr std::uint32_t kCheckpointVersion = 2;
 
 /// Everything needed to resume a run bitwise-identically: per-rank owned
 /// atoms (no ghosts — they are rebuilt), box/geometry, the RNG seed (the
@@ -34,17 +35,13 @@ struct CheckpointState {
   std::vector<ThermoSample> thermo;  ///< global series up to `step`
 };
 
-/// CRC-32 (reflected, poly 0xEDB88320) over `len` bytes — the per-section
-/// integrity check of the checkpoint format.
-std::uint32_t checkpoint_crc32(const void* data, std::size_t len);
-
 /// 64-bit content checksum over a checkpoint's physics payload (per-rank
-/// atom sections chained, then step/thermo), computed with the
+/// atom arrays chained, then step/thermo), computed with the
 /// sim/integrity xxhash-style mixer. Recorded when an in-memory rollback
 /// target is committed and re-verified before the attempt loop reuses
 /// it, so a bit flip that lands in the parked rollback state itself is
 /// detected instead of silently recomputed from corrupt data. (Not
-/// serialized: the on-disk sections already carry CRC-32.)
+/// serialized: every on-disk frame already carries a CRC-32.)
 std::uint64_t checkpoint_content_hash(const CheckpointState& st);
 
 /// Best-effort keep-last-K rotation for on-disk checkpoints written as
@@ -54,17 +51,24 @@ std::uint64_t checkpoint_content_hash(const CheckpointState& st);
 /// failed cleanup must not fail the run). Returns files removed.
 int prune_checkpoints(const std::string& prefix, int keep);
 
-/// Writes `st` to `path` atomically and durably: serialize to
-/// `path + ".tmp"`, fsync the file, rename over the destination, fsync
-/// the parent directory (util::write_file_durable) — a crash or power
-/// loss mid-write never leaves a truncated file under the final name,
-/// and a published checkpoint survives the machine dying. Throws
-/// std::runtime_error on any I/O failure.
+/// Writes `st` to `path` atomically and durably as CRC-32 frames
+/// (comm/msg_codec.h): a header carrying kCheckpointVersion, the meta
+/// frame (step, schedule, seed, geometry, comm variant), one atoms frame
+/// per rank in rank order, and the thermo frame. The file is serialized
+/// to `path + ".tmp"`, fsynced, renamed over the destination, and the
+/// parent directory fsynced (util::write_file_durable) — a crash or
+/// power loss mid-write never leaves a truncated file under the final
+/// name, and a published checkpoint survives the machine dying. Throws
+/// std::runtime_error on any I/O failure, and std::length_error if one
+/// rank's atoms or the thermo series exceed comm::kMaxFramePayload.
 void write_checkpoint(const std::string& path, const CheckpointState& st);
 
-/// Reads and validates a checkpoint: magic, version, per-section CRCs,
-/// and payload bounds. Throws std::runtime_error naming the offending
-/// section on corruption or truncation.
+/// Reads and validates a checkpoint: every frame's magic and CRC, the
+/// frame order, the version, payload bounds, and end of file after the
+/// thermo frame. Declared counts are checked against the bytes that
+/// could back them before anything is sized by them. Throws
+/// std::runtime_error naming the path and frame index on truncation,
+/// corruption, or a file that is not a checkpoint.
 CheckpointState read_checkpoint(const std::string& path);
 
 }  // namespace lmp::sim

@@ -1,10 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "comm/msg_codec.h"
+#include "serve/job_journal.h"
 #include "sim/checkpoint.h"
 #include "sim/simulation.h"
 #include "util/durable_file.h"
@@ -42,12 +48,71 @@ std::vector<char> slurp(const std::string& path) {
   return {std::istreambuf_iterator<char>(is), std::istreambuf_iterator<char>()};
 }
 
-TEST(Checkpoint, Crc32KnownVectors) {
-  // The reflected 0xEDB88320 CRC-32 of "123456789" is the classic check
-  // value — pins the polynomial and bit order.
-  const char msg[] = "123456789";
-  EXPECT_EQ(sim::checkpoint_crc32(msg, 9), 0xCBF43926u);
-  EXPECT_EQ(sim::checkpoint_crc32(nullptr, 0), 0u);
+/// Writes `bytes` as a new file at `path`. (Truncating an existing file
+/// in place makes ext4 flush it on close, tens of ms per write, which a
+/// loop over every byte offset cannot afford.)
+void spit(const std::string& path, const std::vector<char>& bytes) {
+  std::remove(path.c_str());
+  std::ofstream os(path, std::ios::binary);
+  os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// The bytes `read_checkpoint` sees for `sample_state()`.
+std::vector<char> sample_file(const std::string& path) {
+  sim::write_checkpoint(path, sample_state());
+  return slurp(path);
+}
+
+template <class T>
+void append_raw(std::vector<char>& out, T v) {
+  const char* p = reinterpret_cast<const char*>(&v);
+  out.insert(out.end(), p, p + sizeof v);
+}
+
+/// Offset of the first occurrence of `pattern` in `bytes`, or npos.
+std::size_t find_bytes(const std::vector<char>& bytes,
+                       const std::vector<char>& pattern) {
+  const auto it = std::search(bytes.begin(), bytes.end(), pattern.begin(),
+                              pattern.end());
+  return it == bytes.end() ? std::string::npos
+                           : static_cast<std::size_t>(it - bytes.begin());
+}
+
+/// Sets the integer at `at` to `value` and keeps every CRC-32 over it
+/// valid, whatever the file format. CRC-32 is linear: XOR-ing a
+/// difference into a CRC'd range changes the CRC by the difference's raw
+/// CRC (zero init, no final xor), and a zero raw state stays zero over
+/// the bytes that follow. Feeding a raw state its own four little-endian
+/// bytes zeroes it, so XOR-ing the state reached at `fix_at` into the
+/// four bytes there cancels the change. Those four bytes (after the
+/// field, in the same CRC'd range) are overwritten.
+template <class T>
+void forge(std::vector<char>& bytes, std::size_t at, T value,
+           std::size_t fix_at) {
+  ASSERT_GE(fix_at, at + sizeof(T));
+  ASSERT_LE(fix_at + 4, bytes.size());
+  T old;
+  std::memcpy(&old, bytes.data() + at, sizeof old);
+  const T delta = old ^ value;
+  std::vector<char> diff(fix_at - at, 0);
+  std::memcpy(diff.data(), &delta, sizeof delta);
+  const std::uint32_t fix = comm::crc32_update(0, diff.data(), diff.size());
+  for (std::size_t i = 0; i < sizeof(T); ++i) bytes[at + i] ^= diff[i];
+  for (std::size_t i = 0; i < 4; ++i) {
+    bytes[fix_at + i] ^= static_cast<char>(fix >> (8 * i));
+  }
+}
+
+/// read_checkpoint's message for `bytes`, or "" if it read them.
+std::string read_error(const std::string& path,
+                       const std::vector<char>& bytes) {
+  spit(path, bytes);
+  try {
+    sim::read_checkpoint(path);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
 }
 
 TEST(Checkpoint, RoundTripIsBitwise) {
@@ -130,7 +195,7 @@ TEST(Checkpoint, TruncationDetected) {
   const std::string path = tmp_path("ckpt_trunc.bin");
   sim::write_checkpoint(path, sample_state());
   std::vector<char> bytes = slurp(path);
-  bytes.resize(bytes.size() - 9);  // cut into the end marker
+  bytes.resize(bytes.size() - 9);  // cut into the last (thermo) frame
   {
     std::ofstream os(path, std::ios::binary | std::ios::trunc);
     os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
@@ -155,6 +220,118 @@ TEST(Checkpoint, BadMagicAndVersionRejected) {
   std::remove(path.c_str());
   EXPECT_THROW(sim::read_checkpoint(tmp_path("ckpt_missing.bin")),
                std::runtime_error);
+}
+
+TEST(Checkpoint, EveryPrefixAndEveryBitFlipRefused) {
+  // Run under ASan, this also shows no read leaves the file's buffer.
+  const std::string path = tmp_path("ckpt_prefix_flip.bin");
+  const std::vector<char> file = sample_file(path);
+  for (std::size_t cut = 0; cut < file.size(); ++cut) {
+    const std::vector<char> prefix(file.begin(),
+                                   file.begin() + static_cast<long>(cut));
+    const std::string msg = read_error(path, prefix);
+    EXPECT_NE(msg.find("truncated"), std::string::npos)
+        << "prefix of " << cut << " bytes: '" << msg << "'";
+  }
+  for (std::size_t i = 0; i < file.size(); ++i) {
+    std::vector<char> flipped = file;
+    flipped[i] = static_cast<char>(flipped[i] ^ (1 << (i % 8)));
+    EXPECT_NE(read_error(path, flipped), "") << "flip at byte " << i;
+  }
+  std::remove(path.c_str());
+}
+
+TEST(Checkpoint, JournalAndCheckpointRefuseEachOther) {
+  const std::string journal = tmp_path("ckpt_vs_journal.journal");
+  {
+    serve::JobJournal j;
+    j.open(journal);  // a fresh journal: its header record
+  }
+  try {
+    sim::read_checkpoint(journal);
+    FAIL() << "a journal read as a checkpoint";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("not a checkpoint"),
+              std::string::npos) << e.what();
+  }
+
+  const std::string ckpt = tmp_path("ckpt_vs_journal.bin");
+  sim::write_checkpoint(ckpt, sample_state());
+  serve::JobJournal j;
+  EXPECT_THROW(j.open(ckpt), std::runtime_error);
+  std::remove(journal.c_str());
+  std::remove(ckpt.c_str());
+}
+
+TEST(Checkpoint, LegacyFormatRefused) {
+  // Version 1 files began with an 8-byte magic and tagged sections.
+  std::vector<char> legacy = {'L', 'M', 'P', 'C', 'K', 'P', 'T', '1'};
+  append_raw<std::uint32_t>(legacy, 1);
+  append_raw<std::uint32_t>(legacy, 1);  // first section tag (meta)
+  append_raw<std::uint64_t>(legacy, 0);
+  const std::string msg =
+      read_error(tmp_path("ckpt_legacy.bin"), legacy);
+  EXPECT_NE(msg.find("not a checkpoint"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("frame 0"), std::string::npos) << msg;
+}
+
+TEST(Checkpoint, OtherVersionsRejectedByNumber) {
+  const std::string path = tmp_path("ckpt_version.bin");
+  const std::vector<char> file = sample_file(path);
+  const comm::FrameView header = comm::decode_frame(file.data(), file.size());
+  ASSERT_TRUE(header.ok());
+  for (std::uint32_t version : {1u, 3u}) {
+    comm::WireWriter w;
+    w.u32(version);
+    std::vector<char> bytes;
+    comm::append_frame(bytes, header.type, w.bytes().data(),
+                       w.bytes().size());
+    bytes.insert(bytes.end(),
+                 file.begin() + static_cast<long>(header.consumed),
+                 file.end());
+    const std::string msg = read_error(path, bytes);
+    EXPECT_NE(msg.find("unsupported version " + std::to_string(version)),
+              std::string::npos) << msg;
+  }
+  std::remove(path.c_str());
+}
+
+TEST(Checkpoint, ForgedAtomCountFailsWithoutAllocating) {
+  // A CRC-valid file whose rank 0 declares 2^40 atoms (about 60 TB of
+  // AtomState): the count must be refused against the bytes behind it,
+  // as a runtime_error, before anything is sized by it.
+  const std::string path = tmp_path("ckpt_forged_atoms.bin");
+  std::vector<char> file = sample_file(path);
+  std::vector<char> pattern;
+  append_raw<std::int64_t>(pattern, 2);  // rank 0's atom count...
+  append_raw<std::int64_t>(pattern, 7);  // ...then its first tag
+  const std::size_t at = find_bytes(file, pattern);
+  ASSERT_NE(at, std::string::npos);
+  forge<std::int64_t>(file, at, std::int64_t{1} << 40, at + 8);
+  const std::string msg = read_error(path, file);
+  EXPECT_NE(msg.find("count"), std::string::npos) << msg;
+  EXPECT_EQ(msg.find("CRC"), std::string::npos) << msg;
+  std::remove(path.c_str());
+}
+
+TEST(Checkpoint, ForgedRankCountFailsWithoutAllocating) {
+  // The meta frame's rank count forged to INT32_MAX: each rank needs an
+  // atoms frame, so the reader meets the thermo frame after rank 1.
+  const std::string path = tmp_path("ckpt_forged_ranks.bin");
+  std::vector<char> file = sample_file(path);
+  std::vector<char> pattern;
+  append_raw<std::int32_t>(pattern, 2);  // rank count, then the variant
+  append_raw<std::uint32_t>(pattern, 8);
+  pattern.insert(pattern.end(), {'6', 't', 'n', 'i', '_', 'p', '2', 'p'});
+  const std::size_t at = find_bytes(file, pattern);
+  ASSERT_NE(at, std::string::npos);
+  // The correction lands in the variant's characters, which decode as
+  // any string.
+  forge<std::int32_t>(file, at, INT32_MAX, at + 8);
+  const std::string msg = read_error(path, file);
+  EXPECT_NE(msg.find("expected the atoms frame at frame 4"),
+            std::string::npos) << msg;
+  std::remove(path.c_str());
 }
 
 // --- restart determinism -------------------------------------------------

@@ -115,7 +115,7 @@ TEST(JobJournal, TornTailIsTruncatedNotFatal) {
   // Simulate a crash mid-append: a partial record at the tail.
   std::vector<char> rec;
   {
-    WireWriter w;
+    comm::WireWriter w;
     w.u64(1);
     w.u8(static_cast<std::uint8_t>(JobState::kFailed));
     std::vector<char> frame;

@@ -242,16 +242,16 @@ TEST(ServeProtocol, ServerTableListsEveryField) {
 
 TEST(ServeProtocol, ForgedChunkCountRejectedWithoutHugeAllocation) {
   // A 22-byte payload declaring 2^32-1 chunks: the decoder must fail
-  // with the structured ProtocolError (truncated first string), not
-  // attempt a multi-GB vector reserve for the forged count.
-  WireWriter w;
+  // with the structured comm::DecodeError (a count the payload cannot
+  // back), not attempt a multi-GB vector reserve for the forged count.
+  comm::WireWriter w;
   w.u64(7);
   w.u32(0);
   w.u8(static_cast<std::uint8_t>(JobState::kDone));
   w.u8(1);
   w.u32(0xFFFFFFFFu);
   const std::vector<char>& b = w.bytes();
-  EXPECT_THROW(decode_chunks_reply(b.data(), b.size()), ProtocolError);
+  EXPECT_THROW(decode_chunks_reply(b.data(), b.size()), comm::DecodeError);
 }
 
 TEST(ServeProtocol, TruncatedPayloadThrowsStructured) {
@@ -260,10 +260,10 @@ TEST(ServeProtocol, TruncatedPayloadThrowsStructured) {
   const comm::FrameView f = comm::decode_frame(buf.data(), buf.size());
   ASSERT_TRUE(f.ok());
   for (std::size_t cut = 0; cut < f.payload_len; ++cut) {
-    EXPECT_THROW(decode_submit(f.payload, cut), ProtocolError) << cut;
+    EXPECT_THROW(decode_submit(f.payload, cut), comm::DecodeError) << cut;
   }
-  EXPECT_THROW(to_job_state(250), ProtocolError);
-  EXPECT_THROW(to_reject_reason(250), ProtocolError);
+  EXPECT_THROW(to_job_state(250), comm::DecodeError);
+  EXPECT_THROW(to_reject_reason(250), comm::DecodeError);
 }
 
 // --- server behaviour ---------------------------------------------------

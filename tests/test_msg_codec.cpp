@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -157,6 +158,81 @@ TEST(Frame, BadMagicReportedEvenOnShortBuffers) {
   // become a frame must not stall as kNeedMore forever.
   EXPECT_EQ(decode_frame(buf.data(), 4).status, FrameStatus::kBadMagic);
   EXPECT_EQ(decode_frame(buf.data(), 3).status, FrameStatus::kNeedMore);
+}
+
+TEST(Frame, EncoderRefusesWhatTheDecoderWouldRefuse) {
+  // decode_frame refuses a payload above kMaxFramePayload as kOversized,
+  // so append_frame must throw instead of writing one, before it
+  // touches `out`.
+  std::vector<char> payload(kMaxFramePayload + 1, 'x');
+  std::vector<char> out = sample_frame();
+  const std::vector<char> before = out;
+  try {
+    append_frame(out, 9, payload.data(), payload.size());
+    FAIL() << "expected std::length_error";
+  } catch (const std::length_error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find(std::to_string(kMaxFramePayload + 1)),
+              std::string::npos) << msg;
+    EXPECT_NE(msg.find(std::to_string(kMaxFramePayload)), std::string::npos)
+        << msg;
+  }
+  EXPECT_EQ(out, before);
+
+  // Exactly at the bound is legal and round-trips.
+  payload.pop_back();
+  out.clear();
+  append_frame(out, 9, payload.data(), payload.size());
+  const FrameView v = decode_frame(out.data(), out.size());
+  ASSERT_TRUE(v.ok()) << frame_status_name(v.status);
+  EXPECT_EQ(v.payload_len, kMaxFramePayload);
+  EXPECT_EQ(v.consumed, out.size());
+}
+
+// --- frame payloads ------------------------------------------------------
+
+TEST(Wire, RoundTripsEveryFieldType) {
+  WireWriter w;
+  w.u8(0xAB);
+  w.u16(0xBEEF);
+  w.u32(0xDEADBEEFu);
+  w.u64(0x0123456789ABCDEFull);
+  w.i32(-7);
+  w.i64(INT64_MIN);
+  w.f64(-1e300);
+  w.str("6tni_p2p");
+  WireReader r(w.bytes().data(), w.bytes().size(), "test record");
+  EXPECT_EQ(r.u8(), 0xAB);
+  EXPECT_EQ(r.u16(), 0xBEEF);
+  EXPECT_EQ(r.u32(), 0xDEADBEEFu);
+  EXPECT_EQ(r.u64(), 0x0123456789ABCDEFull);
+  EXPECT_EQ(r.i32(), -7);
+  EXPECT_EQ(r.i64(), INT64_MIN);
+  EXPECT_EQ(r.f64(), -1e300);
+  EXPECT_EQ(r.str(), "6tni_p2p");
+  EXPECT_NO_THROW(r.expect_done());
+}
+
+TEST(Wire, ErrorsNameTheRecord) {
+  WireWriter w;
+  w.u32(3);
+  const std::vector<char>& b = w.bytes();
+  try {
+    WireReader r(b.data(), b.size(), "checkpoint meta");
+    r.u64();
+    FAIL() << "expected DecodeError";
+  } catch (const DecodeError& e) {
+    EXPECT_EQ(std::string(e.what()), "checkpoint meta: truncated");
+  }
+  WireReader trailing(b.data(), b.size(), "serve cancel request");
+  EXPECT_THROW(trailing.expect_done(), DecodeError);
+  // A count is refused unless the bytes left can hold that many
+  // elements, and a negative one always.
+  WireReader counts(b.data(), b.size(), "test record");
+  EXPECT_EQ(counts.count(1, 4), 1u);
+  EXPECT_THROW(counts.count(2, 4), DecodeError);
+  EXPECT_THROW(counts.count(-1, 4), DecodeError);
+  EXPECT_THROW(counts.count(std::int64_t{1} << 40, 56), DecodeError);
 }
 
 }  // namespace
