@@ -43,10 +43,11 @@ std::string melt_script(int steps) {
 /// One full job (submit -> terminal) on a fresh server; returns seconds.
 double run_job_s(bool telemetry_on, int steps, int iteration) {
   serve::ServerConfig cfg;
-  const std::string tag =
-      std::string(telemetry_on ? "on" : "off") + std::to_string(iteration);
-  cfg.journal_path = "bench_telemetry_" + tag + ".journal";
   cfg.work_dir = ".";
+  char journal[64];
+  std::snprintf(journal, sizeof journal, "bench_telemetry_%s%d.journal",
+                telemetry_on ? "on" : "off", iteration);
+  cfg.journal_path = journal;
   std::remove(cfg.journal_path.c_str());
   cfg.workers = 1;
   cfg.slice_steps = 20;

@@ -1,87 +1,51 @@
 #include "comm/border_bins.h"
 
-#include <stdexcept>
-
 #include "comm/directions.h"
 
 namespace lmp::comm {
 
-namespace {
-
-/// Region code per axis: 0 = within rc of the low face, 2 = within rc of
-/// the high face, 1 = interior.
-inline int axis_region(double v, double lo, double hi, double rc) {
-  if (v < lo + rc) return 0;
-  if (v > hi - rc) return 2;
-  return 1;
-}
-
-/// Does an atom in axis-region r need to go toward direction component o?
-inline bool region_matches(int r, int o) {
-  if (o == -1) return r == 0;
-  if (o == 1) return r == 2;
-  return true;  // o == 0: any region qualifies
-}
-
-}  // namespace
-
-bool BorderBins::applicable(const geom::Box& sub_box, double rc) {
-  const geom::Vec3 e = sub_box.extent();
-  return e.x >= 2 * rc && e.y >= 2 * rc && e.z >= 2 * rc;
-}
-
 BorderBins::BorderBins(const geom::Box& sub_box, double rc,
-                       const std::vector<int>& send_dirs)
-    : box_(sub_box), rc_(rc) {
-  if (!applicable(sub_box, rc)) {
-    throw std::invalid_argument("sub-box smaller than 2*rc: bins inapplicable");
+                       const std::vector<int>& send_dirs) {
+  for (int axis = 0; axis < 3; ++axis) {
+    const auto a = static_cast<std::size_t>(axis);
+    low_[a] = sub_box.lo[a] + rc;
+    high_[a] = sub_box.hi[a] - rc;
   }
   const auto& dirs = all_dirs();
-  for (int rz = 0; rz < 3; ++rz) {
-    for (int ry = 0; ry < 3; ++ry) {
-      for (int rx = 0; rx < 3; ++rx) {
-        auto& list = region_targets_[static_cast<std::size_t>(rx + 3 * (ry + 3 * rz))];
-        for (const int d : send_dirs) {
-          const util::Int3 o = dirs[static_cast<std::size_t>(d)];
-          if (region_matches(rx, o.x) && region_matches(ry, o.y) &&
-              region_matches(rz, o.z)) {
-            list.push_back(d);
-          }
+  for (int mask = 0; mask < 64; ++mask) {
+    auto& list = region_targets_[static_cast<std::size_t>(mask)];
+    for (const int d : send_dirs) {
+      const util::Int3 o = dirs[static_cast<std::size_t>(d)];
+      bool match = true;
+      for (int axis = 0; axis < 3; ++axis) {
+        const int oc = o[static_cast<std::size_t>(axis)];
+        const int bits = mask >> (2 * axis);
+        if ((oc == -1 && !(bits & 1)) || (oc == 1 && !(bits & 2))) {
+          match = false;
         }
       }
+      if (match) list.push_back(d);
     }
   }
 }
 
-int BorderBins::region_of(const geom::Vec3& p) const {
-  const int rx = axis_region(p.x, box_.lo.x, box_.hi.x, rc_);
-  const int ry = axis_region(p.y, box_.lo.y, box_.hi.y, rc_);
-  const int rz = axis_region(p.z, box_.lo.z, box_.hi.z, rc_);
-  return rx + 3 * (ry + 3 * rz);
-}
-
-const std::vector<int>& BorderBins::targets(const geom::Vec3& p) const {
-  return region_targets_[static_cast<std::size_t>(region_of(p))];
+bool BorderBins::in_slab(const geom::Box& sub_box, double rc, int dir,
+                         const geom::Vec3& p) {
+  const util::Int3 o = all_dirs()[static_cast<std::size_t>(dir)];
+  for (int axis = 0; axis < 3; ++axis) {
+    const auto a = static_cast<std::size_t>(axis);
+    if (o[a] == -1 && !(p[a] < sub_box.lo[a] + rc)) return false;
+    if (o[a] == 1 && !(p[a] > sub_box.hi[a] - rc)) return false;
+  }
+  return true;
 }
 
 std::vector<int> BorderBins::targets_naive(const geom::Box& sub_box, double rc,
                                            const std::vector<int>& send_dirs,
                                            const geom::Vec3& p) {
-  const auto& dirs = all_dirs();
   std::vector<int> out;
   for (const int d : send_dirs) {
-    const util::Int3 o = dirs[static_cast<std::size_t>(d)];
-    bool inside = true;
-    for (int axis = 0; axis < 3 && inside; ++axis) {
-      const int oc = o[static_cast<std::size_t>(axis)];
-      const double v = p[static_cast<std::size_t>(axis)];
-      if (oc == -1) {
-        inside = v < sub_box.lo[static_cast<std::size_t>(axis)] + rc;
-      } else if (oc == 1) {
-        inside = v > sub_box.hi[static_cast<std::size_t>(axis)] - rc;
-      }
-    }
-    if (inside) out.push_back(d);
+    if (in_slab(sub_box, rc, d, p)) out.push_back(d);
   }
   return out;
 }

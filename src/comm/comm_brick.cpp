@@ -196,7 +196,7 @@ void CommBrick::exchange() {
 
     const double lo = ctx_.sub.lo[static_cast<std::size_t>(d)];
     const double hi = ctx_.sub.hi[static_cast<std::size_t>(d)];
-    const std::vector<int> gone = plan_.migrants_along(atoms, d);
+    const std::vector<int>& gone = plan_.migrants_along(atoms, d);
     // Coordinates are already global (wrapped), so no shift applies.
     const std::size_t n =
         pack_exchange(atoms, gone, util::Vec3{}, transport_->send_buffer());

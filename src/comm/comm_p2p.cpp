@@ -365,7 +365,10 @@ void CommP2p::settle_reverse(MsgKind kind, const Add& add) {
 void CommP2p::borders() {
   md::Atoms& atoms = *ctx_.atoms;
   atoms.clear_ghosts();
-  plan_.build_send_lists(atoms);
+  {
+    const obs::TraceSpan select_span(obs::TraceCat::kComm, "select.border");
+    plan_.build_send_lists(atoms);
+  }
 
   // Phase A (parallel): pack straight into the registered send buffers
   // and put. Counters are settled serially afterwards — the payload
@@ -547,7 +550,7 @@ void CommP2p::exchange() {
   // (plan): the direction offset identifies the owner and the channel's
   // periodic shift maps the coordinate into the owner's box, so no
   // global wrap is needed (and the single-target send requires none).
-  const MigrationPlan mig = plan_.classify_migrants(atoms);
+  const MigrationPlan& mig = plan_.classify_migrants(atoms);
 
   // All 26 channels fire every rebuild (possibly empty) so the expected
   // message counts stay deterministic. Pack before remove_locals — the

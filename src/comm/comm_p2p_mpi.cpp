@@ -4,6 +4,7 @@
 
 #include "comm/comm_factory.h"
 #include "comm/pack_kernels.h"
+#include "obs/tracer.h"
 
 namespace lmp::comm {
 
@@ -32,7 +33,10 @@ std::span<const double> CommP2pMpi::recv_payload(MsgKind kind, int dir) {
 void CommP2pMpi::borders() {
   md::Atoms& atoms = *ctx_.atoms;
   atoms.clear_ghosts();
-  plan_.build_send_lists(atoms);
+  {
+    const obs::TraceSpan select_span(obs::TraceCat::kComm, "select.border");
+    plan_.build_send_lists(atoms);
+  }
 
   for (const int d : plan_.send_channels()) {
     const std::size_t n =
@@ -105,7 +109,7 @@ void CommP2pMpi::exchange() {
 
   // Pack and send every direction before remove_locals: the migration
   // indices refer to the pre-removal atom array.
-  const MigrationPlan mig = plan_.classify_migrants(atoms);
+  const MigrationPlan& mig = plan_.classify_migrants(atoms);
   for (int d = 0; d < kNumDirs; ++d) {
     const std::size_t n =
         pack_exchange(atoms, mig.by_dir[static_cast<std::size_t>(d)],

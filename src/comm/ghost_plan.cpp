@@ -115,10 +115,7 @@ GhostPlan GhostPlan::p2p(const CommContext& ctx, bool use_border_bins) {
       static_cast<std::size_t>(face_vol * ctx.density * 2.0) + 64;
   plan.max_payload_doubles_ = plan.max_channel_atoms_ * 8 + 8;
 
-  if (use_border_bins && BorderBins::applicable(ctx.sub, rc)) {
-    plan.bins_ =
-        std::make_unique<BorderBins>(ctx.sub, rc, plan.send_channels_);
-  }
+  if (use_border_bins) plan.bins_.emplace(ctx.sub, rc, plan.send_channels_);
   return plan;
 }
 
@@ -144,15 +141,19 @@ void GhostPlan::build_send_lists(const md::Atoms& atoms) {
   for (const int d : send_channels_) {
     ch_[static_cast<std::size_t>(d)].sendlist.clear();
   }
-  for (int i = 0; i < atoms.nlocal(); ++i) {
-    const util::Vec3 p = atoms.pos(i);
-    if (bins_ != nullptr) {
-      for (const int d : bins_->targets(p)) {
+  const int n = atoms.nlocal();
+  if (bins_) {
+    for (int i = 0; i < n; ++i) {
+      for (const int d : bins_->targets(atoms.pos(i))) {
         ch_[static_cast<std::size_t>(d)].sendlist.push_back(i);
       }
-    } else {
-      for (const int d :
-           BorderBins::targets_naive(sub_, rc_, send_channels_, p)) {
+    }
+    return;
+  }
+  for (int i = 0; i < n; ++i) {
+    const util::Vec3 p = atoms.pos(i);
+    for (const int d : send_channels_) {
+      if (BorderBins::in_slab(sub_, rc_, d, p)) {
         ch_[static_cast<std::size_t>(d)].sendlist.push_back(i);
       }
     }
@@ -166,9 +167,10 @@ int GhostPlan::axis_offset(const double* x, int i, int axis) const {
   return 0;
 }
 
-std::vector<int> GhostPlan::migrants_along(const md::Atoms& atoms,
-                                           int axis) const {
-  std::vector<int> gone;
+const std::vector<int>& GhostPlan::migrants_along(const md::Atoms& atoms,
+                                                  int axis) {
+  std::vector<int>& gone = migrants_.gone;
+  gone.clear();
   const double* x = atoms.x();
   for (int i = 0; i < atoms.nlocal(); ++i) {
     if (axis_offset(x, i, axis) != 0) gone.push_back(i);
@@ -176,8 +178,10 @@ std::vector<int> GhostPlan::migrants_along(const md::Atoms& atoms,
   return gone;
 }
 
-MigrationPlan GhostPlan::classify_migrants(const md::Atoms& atoms) const {
-  MigrationPlan mig;
+const MigrationPlan& GhostPlan::classify_migrants(const md::Atoms& atoms) {
+  MigrationPlan& mig = migrants_;
+  mig.gone.clear();
+  for (auto& list : mig.by_dir) list.clear();
   const double* x = atoms.x();
   for (int i = 0; i < atoms.nlocal(); ++i) {
     util::Int3 off{0, 0, 0};

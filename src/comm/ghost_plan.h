@@ -2,7 +2,7 @@
 
 #include <array>
 #include <cstddef>
-#include <memory>
+#include <optional>
 #include <vector>
 
 #include "comm/border_bins.h"
@@ -34,10 +34,10 @@ struct MigrationPlan {
 ///             migration runs one dimension at a time on wrapped
 ///             coordinates.
 ///   kP2p    — 26 direct neighbor channels (Newton halves them 13/13),
-///             border targets from the 3x3x3 border bins of Sec. 3.5.2
-///             (or the naive slab scan when geometry disallows bins);
-///             migration classifies raw coordinates straight to the
-///             destination direction.
+///             border targets from the border bins of Sec. 3.5.2 (valid
+///             on every sub-box at least one cutoff thick); migration
+///             classifies raw coordinates straight to the destination
+///             direction.
 ///
 /// CommBrick / CommP2pMpi / CommP2p are thin transport drivers over this
 /// plan plus the pack_kernels: the periodic-shift setup, border
@@ -52,8 +52,9 @@ class GhostPlan {
   /// a sub-box side is thinner than the ghost cutoff.
   static GhostPlan staged(const CommContext& ctx);
 
-  /// Build the 26-channel p2p plan; `use_border_bins` enables the binned
-  /// target selection where the geometry allows it.
+  /// Build the 26-channel p2p plan; `use_border_bins` = false selects
+  /// border atoms with the per-direction slab scan instead of the bins
+  /// (the Sec. 3.5.2 ablation; the send lists are the same).
   static GhostPlan p2p(const CommContext& ctx, bool use_border_bins);
 
   Scheme scheme() const { return scheme_; }
@@ -78,7 +79,9 @@ class GhostPlan {
   void select_staged(int ch, const md::Atoms& atoms, int scan_end);
 
   /// P2p target selection: rebuild every send channel's list in one pass
-  /// over the local atoms (border bins or naive slab scan).
+  /// over the local atoms (border bins, or the slab scan ablation). The
+  /// lists keep their storage, so a rebuild of a similar atom set
+  /// allocates nothing.
   void build_send_lists(const md::Atoms& atoms);
 
   const std::vector<int>& send_list(int ch) const {
@@ -98,12 +101,13 @@ class GhostPlan {
 
   /// Staged: ascending indices of owned atoms outside the sub-box along
   /// `axis` (coordinates must already be wrapped into the global box).
-  std::vector<int> migrants_along(const md::Atoms& atoms, int axis) const;
+  /// Refills plan-owned storage, valid until the next call.
+  const std::vector<int>& migrants_along(const md::Atoms& atoms, int axis);
 
   /// P2p: classify every leaver by destination direction on the raw
   /// coordinates; the channel's periodic shift maps them into the
-  /// owner's box.
-  MigrationPlan classify_migrants(const md::Atoms& atoms) const;
+  /// owner's box. Refills plan-owned storage, valid until the next call.
+  const MigrationPlan& classify_migrants(const md::Atoms& atoms);
 
   // --- buffer upper bounds (Sec. 3.4) -----------------------------------
 
@@ -113,7 +117,7 @@ class GhostPlan {
   /// scheme's framing margin). Transports size rings/buffers from this.
   std::size_t max_payload_doubles() const { return max_payload_doubles_; }
 
-  bool using_border_bins() const { return bins_ != nullptr; }
+  bool using_border_bins() const { return bins_.has_value(); }
 
  private:
   struct Channel {
@@ -139,7 +143,8 @@ class GhostPlan {
   std::vector<int> recv_channels_;
   std::size_t max_channel_atoms_ = 0;
   std::size_t max_payload_doubles_ = 0;
-  std::unique_ptr<BorderBins> bins_;
+  std::optional<BorderBins> bins_;  ///< p2p with border bins only
+  MigrationPlan migrants_;          ///< classify_migrants / migrants_along
 };
 
 /// Uniform CommCounters accounting for one sent payload: every variant

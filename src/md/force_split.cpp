@@ -1,6 +1,8 @@
 #include "md/force_split.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <stdexcept>
 
 namespace lmp::md {
@@ -53,29 +55,37 @@ void ForceGroups::build_footprints(const NeighborList& list, bool newton,
   fp_index_.clear();
   fp_offsets_.clear();
   fp_offsets_.push_back(0);
-  fp_stamp_.assign(static_cast<std::size_t>(ntotal), -1);
+  // One bit per local and ghost index: a group marks what it writes,
+  // then emits the set bits in ascending order, clearing them as it
+  // goes, so the bitmap is all-zero again for the next group.
+  fp_bits_.assign((static_cast<std::size_t>(ntotal) + 63) / 64, 0);
   const bool partners = !list.full;
   for (int g = 0; g < ngroups(); ++g) {
-    const std::size_t begin = fp_index_.size();
-    const auto visit = [&](int j) {
-      int& s = fp_stamp_[static_cast<std::size_t>(j)];
-      if (s == g) return;
-      s = g;
-      fp_index_.push_back(j);
+    std::size_t wlo = fp_bits_.size();
+    std::size_t whi = 0;
+    const auto mark = [&](int j) {
+      const std::size_t w = static_cast<std::size_t>(j) >> 6;
+      fp_bits_[w] |= std::uint64_t{1} << (j & 63);
+      wlo = std::min(wlo, w);
+      whi = std::max(whi, w + 1);
     };
     const std::vector<int>& rows = groups[static_cast<std::size_t>(g)].atoms;
-    for (const int i : rows) visit(i);
+    for (const int i : rows) mark(i);
     // Exactly the partner writes of the kernels' half-list branch.
     if (partners) {
       for (const int i : rows) {
         for (int k = list.offsets[i]; k < list.offsets[i + 1]; ++k) {
           const int j = list.neigh[static_cast<std::size_t>(k)];
-          if (newton || j < nlocal) visit(j);
+          if (newton || j < nlocal) mark(j);
         }
       }
     }
-    std::sort(fp_index_.begin() + static_cast<std::ptrdiff_t>(begin),
-              fp_index_.end());
+    for (std::size_t w = wlo; w < whi; ++w) {
+      for (std::uint64_t bits = fp_bits_[w]; bits != 0; bits &= bits - 1) {
+        fp_index_.push_back(static_cast<int>(64 * w) + std::countr_zero(bits));
+      }
+      fp_bits_[w] = 0;
+    }
     fp_offsets_.push_back(static_cast<int>(fp_index_.size()));
   }
   fp_built_ = true;

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <array>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -86,7 +87,7 @@ struct ForceGroups {
   std::array<std::vector<int>, 64> buckets_;  ///< assign() scratch, by mask
   std::vector<int> fp_index_;                 ///< footprints, concatenated
   std::vector<int> fp_offsets_;               ///< ngroups + 1 bounds
-  std::vector<int> fp_stamp_;                 ///< dedup: last group per index
+  std::vector<std::uint64_t> fp_bits_;        ///< one group's marks, by index
   bool fp_built_ = false;
   bool fp_full_ = false;
   bool fp_newton_ = false;

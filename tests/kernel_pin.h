@@ -133,7 +133,7 @@ template <class Hash>
 void run_three(Potential& pot, PeriodicBox& pb, double rc, Hash&& hash) {
   Atoms& a = pb.atoms;
   ImageComm comm(pb.owner, a.nlocal());
-  const NeighborBuilder nb(rc);
+  NeighborBuilder nb(rc);
 
   const NeighborList half = nb.build_half(a, HalfRule::kCoordTieBreak);
   a.zero_forces();

@@ -23,12 +23,40 @@ std::vector<int> every_dir() {
   return out;
 }
 
-TEST(BorderBins, ApplicabilityRequiresTwoCutoffs) {
-  const geom::Box big{{0, 0, 0}, {10, 10, 10}};
-  const geom::Box thin{{0, 0, 0}, {10, 3, 10}};
-  EXPECT_TRUE(BorderBins::applicable(big, 2.0));
-  EXPECT_FALSE(BorderBins::applicable(thin, 2.0));
-  EXPECT_THROW(BorderBins(thin, 2.0, every_dir()), std::invalid_argument);
+TEST(BorderBins, ThinSubBoxMatchesNaiveScan) {
+  // Sides between one and two cutoffs, one axis at a time and all three
+  // at once: the slabs of the two faces overlap, and an atom in the
+  // overlap goes both ways. The binned lists must equal the slab scan,
+  // entry for entry and in send_dirs order.
+  const double rc = 2.0;
+  for (const double side : {2.0, 2.9, 3.999}) {
+    for (int thin = 0; thin < 4; ++thin) {
+      geom::Box box{{-1, 0, 2}, {9, 10, 12}};
+      for (int axis = 0; axis < 3; ++axis) {
+        if (thin == 3 || thin == axis) {
+          const auto a = static_cast<std::size_t>(axis);
+          box.hi[a] = box.lo[a] + side;
+        }
+      }
+      for (const auto& dirs : {every_dir(), lower_dirs()}) {
+        const BorderBins bins(box, rc, dirs);
+        util::Rng rng(static_cast<std::uint64_t>(7 + thin));
+        for (int i = 0; i < 3000; ++i) {
+          geom::Vec3 p{rng.uniform(box.lo.x, box.hi.x),
+                       rng.uniform(box.lo.y, box.hi.y),
+                       rng.uniform(box.lo.z, box.hi.z)};
+          // Every fourth point sits exactly on one of the planes.
+          if (i % 4 == 0) {
+            const auto a = static_cast<std::size_t>(rng.uniform_index(3));
+            p[a] = i % 8 == 0 ? box.lo[a] + rc : box.hi[a] - rc;
+          }
+          EXPECT_EQ(bins.targets(p), BorderBins::targets_naive(box, rc, dirs, p))
+              << "side " << side << " thin " << thin << " at (" << p.x
+              << "," << p.y << "," << p.z << ")";
+        }
+      }
+    }
+  }
 }
 
 TEST(BorderBins, InteriorAtomTargetsNothing) {

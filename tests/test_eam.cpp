@@ -16,7 +16,7 @@ Eam make_eam() { return Eam(make_cu_like_table(2000, 2000, 4.95)); }
 
 /// Total EAM energy of a configuration evaluated with a full list.
 double energy_of(Eam& eam, Atoms& atoms) {
-  const NeighborBuilder b(4.95);
+  NeighborBuilder b(4.95);
   const NeighborList l = b.build_full(atoms);
   atoms.zero_forces();
   return eam.compute(atoms, l, false, nullptr).energy;
@@ -58,7 +58,7 @@ TEST(Eam, ForceIsMinusEnergyGradient) {
   const double h = 1e-6;
   for (double r : {2.2, 2.6, 3.0, 3.8, 4.5}) {
     Atoms a = cluster({{0, 0, 0}, {r, 0, 0}});
-    const NeighborBuilder b(4.95);
+    NeighborBuilder b(4.95);
     const NeighborList l = b.build_half(a, HalfRule::kCoordTieBreak);
     a.zero_forces();
     eam.compute(a, l, true, nullptr);
@@ -75,7 +75,7 @@ TEST(Eam, ForceIsMinusEnergyGradient) {
 TEST(Eam, NewtonPairForcesOpposite) {
   Eam eam = make_eam();
   Atoms a = cluster({{0, 0, 0}, {2.5, 0.3, -0.2}});
-  const NeighborBuilder b(4.95);
+  NeighborBuilder b(4.95);
   const NeighborList l = b.build_half(a, HalfRule::kCoordTieBreak);
   a.zero_forces();
   eam.compute(a, l, true, nullptr);
@@ -87,7 +87,7 @@ TEST(Eam, NewtonPairForcesOpposite) {
 TEST(Eam, HalfAndFullListsAgree) {
   Eam eam = make_eam();
   Atoms a = cluster({{0, 0, 0}, {2.5, 0, 0}, {1.3, 2.1, 0}, {0.5, 0.8, 2.2}});
-  const NeighborBuilder b(4.95);
+  NeighborBuilder b(4.95);
 
   a.zero_forces();
   const ForceResult half =
@@ -109,7 +109,7 @@ TEST(Eam, HalfAndFullListsAgree) {
 TEST(Eam, TrimerDensityAccumulates) {
   Eam eam = make_eam();
   Atoms a = cluster({{0, 0, 0}, {2.5, 0, 0}, {-2.5, 0, 0}});
-  const NeighborBuilder b(4.95);
+  NeighborBuilder b(4.95);
   a.zero_forces();
   eam.compute(a, b.build_full(a), false, nullptr);
   const auto& rho = eam.last_rho();
@@ -122,7 +122,7 @@ TEST(Eam, TrimerDensityAccumulates) {
 TEST(Eam, CentralAtomOfSymmetricTrimerFeelsNoForce) {
   Eam eam = make_eam();
   Atoms a = cluster({{0, 0, 0}, {2.5, 0, 0}, {-2.5, 0, 0}});
-  const NeighborBuilder b(4.95);
+  NeighborBuilder b(4.95);
   a.zero_forces();
   eam.compute(a, b.build_full(a), false, nullptr);
   EXPECT_NEAR(a.force(0).x, 0.0, 1e-10);

@@ -191,7 +191,7 @@ TEST(LjSplit, SingleGroupMatchesMonolithicBitwise) {
   LennardJones lj_a(1.0, 1.0, 2.5), lj_b(1.0, 1.0, 2.5);
   Atoms a = cluster(60, 5.0, 42u);
   Atoms b = cluster(60, 5.0, 42u);
-  const NeighborBuilder nb(2.8);
+  NeighborBuilder nb(2.8);
   const NeighborList la = nb.build_half(a, HalfRule::kCoordTieBreak);
   const NeighborList lb = nb.build_half(b, HalfRule::kCoordTieBreak);
 
@@ -222,7 +222,7 @@ TEST(LjSplit, GroupExecutionOrderDoesNotChangeBits) {
   LennardJones lj_a(1.0, 1.0, 2.5), lj_b(1.0, 1.0, 2.5);
   Atoms a = cluster(80, 6.0, 9u);
   Atoms b = cluster(80, 6.0, 9u);
-  const NeighborBuilder nb(2.8);
+  NeighborBuilder nb(2.8);
   const NeighborList la = nb.build_half(a, HalfRule::kCoordTieBreak);
   const NeighborList lb = nb.build_half(b, HalfRule::kCoordTieBreak);
   const geom::Box sub{{0, 0, 0}, {6, 6, 6}};
@@ -257,7 +257,7 @@ TEST(EamSplit, SingleGroupForcesAndRhoBitwiseEnergyNear) {
   Eam eam_a(table), eam_b(table);
   Atoms a = cluster(40, 8.0, 11u);
   Atoms b = cluster(40, 8.0, 11u);
-  const NeighborBuilder nb(5.3);
+  NeighborBuilder nb(5.3);
   const NeighborList la = nb.build_half(a, HalfRule::kCoordTieBreak);
   const NeighborList lb = nb.build_half(b, HalfRule::kCoordTieBreak);
 
@@ -298,7 +298,7 @@ TEST(EamSplit, GroupExecutionOrderDoesNotChangeBits) {
   Eam eam_a(table), eam_b(table);
   Atoms a = cluster(60, 9.0, 23u);
   Atoms b = cluster(60, 9.0, 23u);
-  const NeighborBuilder nb(5.3);
+  NeighborBuilder nb(5.3);
   const NeighborList la = nb.build_half(a, HalfRule::kCoordTieBreak);
   const NeighborList lb = nb.build_half(b, HalfRule::kCoordTieBreak);
   const geom::Box sub{{0, 0, 0}, {9, 9, 9}};
@@ -337,7 +337,7 @@ TEST(ForceGroups, FootprintsMatchBruteForce) {
   // footprint is exactly the set of entries its rows can write.
   Atoms a = halo_cluster(120, 80, 7.0, 2.8, 5u);
   const geom::Box sub{{0, 0, 0}, {7, 7, 7}};
-  const NeighborBuilder nb(2.8);
+  NeighborBuilder nb(2.8);
   const NeighborList half = nb.build_half(a, HalfRule::kAllGhosts);
   const NeighborList full = nb.build_full(a);
   struct Case {
@@ -410,7 +410,7 @@ TEST(LjSplit, SparseJoinMatchesDenseGroupSumBitwise) {
   Atoms a = halo_cluster(120, 80, 7.0, 2.8, 21u);
   Atoms b = halo_cluster(120, 80, 7.0, 2.8, 21u);
   const geom::Box sub{{0, 0, 0}, {7, 7, 7}};
-  const NeighborBuilder nb(2.8);
+  NeighborBuilder nb(2.8);
   const NeighborList la = nb.build_half(a, HalfRule::kAllGhosts);
   const NeighborList lb = nb.build_half(b, HalfRule::kAllGhosts);
   ForceGroups fg = ForceGroups::build(a, sub, 2.8);
@@ -441,7 +441,7 @@ TEST(LjSplit, ReusedAcrossEvaluationsMatchesFreshBitwise) {
   // join leaves every buffer it drains all-zero. Half list with Newton
   // (ghost partners written) and full list without (rows only).
   const geom::Box sub{{0, 0, 0}, {7, 7, 7}};
-  const NeighborBuilder nb(2.8);
+  NeighborBuilder nb(2.8);
   for (const bool newton : {true, false}) {
     Atoms a = halo_cluster(120, 80, 7.0, 2.8, 17u);
     Atoms b = halo_cluster(120, 80, 7.0, 2.8, 17u);
@@ -479,7 +479,7 @@ TEST(LjSplit, AbandonedEvaluationLeavesNoResidue) {
   Atoms a = halo_cluster(120, 80, 7.0, 2.8, 29u);
   Atoms b = halo_cluster(120, 80, 7.0, 2.8, 29u);
   const geom::Box sub{{0, 0, 0}, {7, 7, 7}};
-  const NeighborBuilder nb(2.8);
+  NeighborBuilder nb(2.8);
   const NeighborList la = nb.build_half(a, HalfRule::kAllGhosts);
   const NeighborList lb = nb.build_half(b, HalfRule::kAllGhosts);
   ForceGroups fga = ForceGroups::build(a, sub, 2.8);
@@ -503,7 +503,7 @@ TEST(LjSplit, AbandonedEvaluationLeavesNoResidue) {
 TEST(EamSplit, ReusedAcrossEvaluationsMatchesFreshBitwise) {
   const EamTable table = cu_table();
   const geom::Box sub{{0, 0, 0}, {12, 12, 12}};
-  const NeighborBuilder nb(5.3);
+  NeighborBuilder nb(5.3);
   Atoms a = halo_cluster(150, 120, 12.0, 5.3, 31u);
   Atoms b = halo_cluster(150, 120, 12.0, 5.3, 31u);
   Atoms m = halo_cluster(150, 120, 12.0, 5.3, 31u);
@@ -539,7 +539,7 @@ TEST(EamSplit, AbandonedEvaluationLeavesNoResidue) {
   // the next full evaluation must equal a fresh potential's.
   const EamTable table = cu_table();
   const geom::Box sub{{0, 0, 0}, {12, 12, 12}};
-  const NeighborBuilder nb(5.3);
+  NeighborBuilder nb(5.3);
   Atoms a = halo_cluster(150, 120, 12.0, 5.3, 37u);
   Atoms b = halo_cluster(150, 120, 12.0, 5.3, 37u);
   const NeighborList la = nb.build_half(a, HalfRule::kAllGhosts);

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <stdexcept>
 #include <vector>
@@ -9,6 +10,7 @@
 #include "comm/ghost_plan.h"
 #include "geom/decomposition.h"
 #include "md/atoms.h"
+#include "obs/alloc_tracker.h"
 #include "util/rng.h"
 
 namespace lmp::comm {
@@ -151,6 +153,54 @@ TEST(GhostPlan, BinnedSendListsMatchNaiveScan) {
   }
 }
 
+TEST(GhostPlan, ThinSubBoxSendListsAllocateNothingOnRebuild) {
+  // lj-strong's rank geometry: 6x6x6 fcc cells at density 0.8442 on a
+  // 2x2x1 grid, ghost cutoff 2.8, so the sub-box is 5.04 wide on x and
+  // y — thinner than 2*rc. The border bins still apply, pick the slab
+  // scan's lists, and a second selection over the same atoms reuses the
+  // lists' storage.
+  if (!obs::alloc_trace_compiled_in()) {
+    GTEST_SKIP() << "LMP_ALLOC_TRACE=OFF: no interposed operators";
+  }
+  const double a = std::cbrt(4.0 / 0.8442);
+  const geom::Box global{{0, 0, 0}, {6 * a, 6 * a, 6 * a}};
+  for (const bool newton : {true, false}) {
+    PlanFixture f({2, 2, 1}, global, 0, 2.8, newton, 0.8442);
+    GhostPlan binned = GhostPlan::p2p(f.ctx, true);
+    GhostPlan naive = GhostPlan::p2p(f.ctx, false);
+    ASSERT_TRUE(binned.using_border_bins());
+    md::Atoms atoms;
+    atoms.reserve_capacity(4 * 6 * 6 * 6);
+    util::Rng rng(3);
+    const double basis[4][3] = {
+        {0, 0, 0}, {0.5, 0.5, 0}, {0.5, 0, 0.5}, {0, 0.5, 0.5}};
+    for (int c = 0; c < 6 * 6 * 6; ++c) {
+      for (const auto& b : basis) {
+        const util::Vec3 p{(c % 6 + b[0]) * a + rng.uniform(-0.1, 0.1),
+                           (c / 6 % 6 + b[1]) * a + rng.uniform(-0.1, 0.1),
+                           (c / 36 + b[2]) * a + rng.uniform(-0.1, 0.1)};
+        if (f.ctx.sub.contains(p)) atoms.add_local(p, {}, atoms.nlocal() + 1);
+      }
+    }
+    binned.build_send_lists(atoms);
+    naive.build_send_lists(atoms);
+    for (const int d : binned.send_channels()) {
+      EXPECT_EQ(binned.send_list(d), naive.send_list(d)) << "dir " << d;
+    }
+    const auto allocs = [] {
+      return obs::AllocTracker::instance()
+          .slot("test:send-lists")
+          ->allocs.load(std::memory_order_relaxed);
+    };
+    const std::uint64_t before = allocs();
+    {
+      const obs::AllocScope scope("test:send-lists");
+      binned.build_send_lists(atoms);
+    }
+    EXPECT_EQ(allocs(), before) << "newton " << newton;
+  }
+}
+
 TEST(GhostPlan, SendListsContainExactlyTheBorderAtoms) {
   // Brute force: atom i belongs on channel d iff it lies within the
   // cutoff slab of every face d crosses.
@@ -186,7 +236,7 @@ TEST(GhostPlan, SendListsContainExactlyTheBorderAtoms) {
 
 TEST(GhostPlan, ClassifyMigrantsRoutesByDirection) {
   PlanFixture f({2, 2, 2}, kBox, 0, 2.0);
-  const GhostPlan plan = GhostPlan::p2p(f.ctx, true);
+  GhostPlan plan = GhostPlan::p2p(f.ctx, true);
   md::Atoms atoms;
   atoms.reserve_capacity(8);
   atoms.add_local({5, 5, 5}, {}, 1);        // stays
@@ -194,7 +244,7 @@ TEST(GhostPlan, ClassifyMigrantsRoutesByDirection) {
   atoms.add_local({-0.3, -0.2, 5}, {}, 3);  // -x-y edge
   atoms.add_local({5, 5, 10.0}, {}, 4);     // exactly at hi: leaves (+z)
 
-  const MigrationPlan mig = plan.classify_migrants(atoms);
+  const MigrationPlan& mig = plan.classify_migrants(atoms);
   EXPECT_EQ(mig.gone, (std::vector<int>{1, 2, 3}));
   EXPECT_EQ(mig.by_dir[static_cast<std::size_t>(dir_index({+1, 0, 0}))],
             (std::vector<int>{1}));
@@ -206,7 +256,7 @@ TEST(GhostPlan, ClassifyMigrantsRoutesByDirection) {
 
 TEST(GhostPlan, MigrantsAlongSingleAxis) {
   PlanFixture f({2, 2, 2}, kBox, 0, 2.0);
-  const GhostPlan plan = GhostPlan::staged(f.ctx);
+  GhostPlan plan = GhostPlan::staged(f.ctx);
   md::Atoms atoms;
   atoms.reserve_capacity(4);
   atoms.add_local({-0.5, 5, 5}, {}, 1);

@@ -52,7 +52,7 @@ TEST(LennardJones, ForceIsMinusEnergyGradient) {
 TEST(LennardJones, ComputeDimerForcesOpposite) {
   LennardJones lj(1.0, 1.0, 2.5);
   Atoms a = dimer(1.2, false);
-  const NeighborBuilder b(2.5);
+  NeighborBuilder b(2.5);
   const NeighborList l = b.build_half(a, HalfRule::kCoordTieBreak);
   a.zero_forces();
   const ForceResult r = lj.compute(a, l, true, nullptr);
@@ -66,7 +66,7 @@ TEST(LennardJones, ComputeDimerForcesOpposite) {
 TEST(LennardJones, VirialMatchesPairFormula) {
   LennardJones lj(1.0, 1.0, 2.5);
   Atoms a = dimer(1.1, false);
-  const NeighborBuilder b(2.5);
+  NeighborBuilder b(2.5);
   const NeighborList l = b.build_half(a, HalfRule::kCoordTieBreak);
   a.zero_forces();
   const ForceResult r = lj.compute(a, l, true, nullptr);
@@ -77,7 +77,7 @@ TEST(LennardJones, VirialMatchesPairFormula) {
 TEST(LennardJones, CutoffRespected) {
   LennardJones lj(1.0, 1.0, 2.5);
   Atoms a = dimer(2.6, false);
-  const NeighborBuilder b(2.8);  // list cutoff wider than force cutoff
+  NeighborBuilder b(2.8);  // list cutoff wider than force cutoff
   const NeighborList l = b.build_half(a, HalfRule::kCoordTieBreak);
   a.zero_forces();
   const ForceResult r = lj.compute(a, l, true, nullptr);
@@ -88,7 +88,7 @@ TEST(LennardJones, CutoffRespected) {
 TEST(LennardJones, NewtonAppliesForceToGhost) {
   LennardJones lj(1.0, 1.0, 2.5);
   Atoms a = dimer(1.2, true);
-  const NeighborBuilder b(2.5);
+  NeighborBuilder b(2.5);
   const NeighborList l = b.build_half(a, HalfRule::kAllGhosts);
   a.zero_forces();
   lj.compute(a, l, true, nullptr);
@@ -99,7 +99,7 @@ TEST(LennardJones, NewtonAppliesForceToGhost) {
 TEST(LennardJones, FullListHalvesEnergyTallies) {
   LennardJones lj(1.0, 1.0, 2.5);
   Atoms a = dimer(1.2, false);
-  const NeighborBuilder b(2.5);
+  NeighborBuilder b(2.5);
 
   a.zero_forces();
   const ForceResult half = lj.compute(

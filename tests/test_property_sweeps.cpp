@@ -120,7 +120,7 @@ TEST_P(NeighborSweep, FullListMatchesBruteForce) {
                  rng.uniform(0, p.box)},
                 {0, 0, 0}, i);
   }
-  const md::NeighborBuilder b(p.cutoff);
+  md::NeighborBuilder b(p.cutoff);
   const md::NeighborList l = b.build_full(a);
   long brute = 0;
   for (int i = 0; i < p.natoms; ++i) {
