@@ -169,7 +169,19 @@ EOF
       return 1
     }
   done
-  python3 - "${work}/wd/job-1.report.json" "${work}/wd/job-2.report.json" <<'EOF'
+  # Reference: an uninterrupted server run of the long script at the
+  # same cadence.
+  echo "acme long ${work}/in.long.lj" > "${work}/jobs-ref.txt"
+  mkdir -p "${work}/wd-ref"
+  "${build_dir}/examples/lmp_serve" --journal "${work}/journal-ref.bin" \
+      --workdir "${work}/wd-ref" --jobs "${work}/jobs-ref.txt" \
+      --workers 1 --slice 20 --chunks > "${work}/ref.log" 2>&1 \
+      || { echo "serve smoke: reference run failed"; cat "${work}/ref.log"; return 1; }
+  # Every report is schema-valid. A served job is one run, so the
+  # uninterrupted reference reports it started at step 0 and the
+  # recovered job reports the checkpoint it resumed from.
+  python3 - "${work}/wd/job-1.report.json" "${work}/wd/job-2.report.json" \
+      "${work}/wd-ref/job-1.report.json" <<'EOF'
 import json, sys
 for path in sys.argv[1:]:
     r = json.load(open(path))
@@ -181,18 +193,16 @@ for path in sys.argv[1:]:
     assert mem["rss_bytes"] > 0, (path, mem)
     if mem["tracked"]:
         assert mem["heap_high_water_bytes"] > 0, (path, mem)
-print(f"serve smoke: survived kill -9; {len(sys.argv) - 1} job reports valid")
+recovered = json.load(open(sys.argv[2]))["restart_step"]
+reference = json.load(open(sys.argv[3]))["restart_step"]
+assert reference == 0, ("uninterrupted job's restart_step", reference)
+assert recovered > 0, ("recovered job's restart_step", recovered)
+print(f"serve smoke: survived kill -9; {len(sys.argv) - 1} job reports valid; "
+      f"recovered job resumed from step {recovered}")
 EOF
   # Bitwise proof: the resumed job's streamed thermo (which restarts
   # from the checkpointed history, so the post-crash incarnation always
-  # streams the complete series) must equal the stream of an
-  # uninterrupted server run of the same script at the same cadence.
-  echo "acme long ${work}/in.long.lj" > "${work}/jobs-ref.txt"
-  mkdir -p "${work}/wd-ref"
-  "${build_dir}/examples/lmp_serve" --journal "${work}/journal-ref.bin" \
-      --workdir "${work}/wd-ref" --jobs "${work}/jobs-ref.txt" \
-      --workers 1 --slice 20 --chunks > "${work}/ref.log" 2>&1 \
-      || { echo "serve smoke: reference run failed"; cat "${work}/ref.log"; return 1; }
+  # streams the complete series) must equal the reference's stream.
   awk '/^job 2 acme\/long /{f=1;next} /^job /{f=0} f && /^[0-9]+ /' \
       "${work}/run2.log" > "${work}/thermo.resumed"
   awk '/^job 1 acme\/long /{f=1;next} /^job /{f=0} f && /^[0-9]+ /' \

@@ -44,7 +44,7 @@ int usage(const char* argv0) {
       "  --queue N           admission queue capacity (default 32)\n"
       "  --quota T=Q,R       tenant T: max Q queued, R running (repeatable)\n"
       "  --default-quota Q,R default tenant quota (default 8,2)\n"
-      "  --slice N           preferred checkpoint/slice cadence (default 10)\n"
+      "  --slice N           preferred checkpoint/commit cadence (default 10)\n"
       "  --keep N            keep only the newest N on-disk checkpoints per\n"
       "                      job (default: keep everything)\n"
       "  --integrity N       run silent-corruption guards every N steps\n"

@@ -90,7 +90,7 @@ void set_alloc_tracking_enabled(bool on);
 /// Process-wide allocation tracker. Interposed operator new/delete
 /// (alloc_tracker.cpp, compiled under LMP_ALLOC_TRACE) attribute every
 /// heap event to the calling thread's innermost AllocScope — per-stage
-/// spans, dispatcher waits, serve slices — falling back to the built-in
+/// spans, dispatcher waits, served job runs — falling back to the built-in
 /// "(unattributed)" slot, so per-scope sums always equal the globals.
 ///
 /// Everything is fixed storage: a static slot table, no allocation on

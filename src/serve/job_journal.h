@@ -29,7 +29,7 @@ struct JournalJob {
   std::string restart_file;  ///< newest durable checkpoint ("" = from scratch)
   std::string detail;        ///< terminal outcome / last failure text
   // Per-job silent-corruption history (journal v2), accumulated over
-  // every slice of every incarnation: how often the integrity guards
+  // every run of every incarnation: how often the integrity guards
   // tripped and how many rollback+recompute cycles healed the job.
   std::uint64_t integrity_detections = 0;
   std::uint64_t integrity_rollbacks = 0;

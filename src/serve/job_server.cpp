@@ -21,18 +21,16 @@ std::string job_key(const std::string& tenant, const std::string& name) {
   return tenant + '\0' + name;
 }
 
-/// Slice quantum for a parsed job: the smallest common multiple of the
-/// checkpoint and thermo cadences at least `preferred` steps long.
-/// Intermediate slice boundaries land only on these multiples, so the
-/// boundary thermo sample (run_simulation records `step == nsteps`
-/// unconditionally) coincides with the regular `step % thermo_every`
-/// schedule — a sliced run's thermo series is bitwise-identical to an
-/// uninterrupted one.
+/// Progress-commit quantum for a parsed job: the smallest common
+/// multiple of the checkpoint and thermo cadences at least `preferred`
+/// steps long. A commit therefore always names a checkpoint file and
+/// follows a thermo sample, so a run stopped and resumed there streams a
+/// thermo series bitwise-identical to an uninterrupted one. A script
+/// that sets no checkpoint cadence is checkpointed on the quantum.
 ///
 /// Computed in 64-bit and clamped to `total`: the cadences are
 /// client-controlled, and an lcm like lcm(1999999999, 2000000000)
-/// overflows int. Any quantum >= total means one full-run slice, which
-/// is always correct (the final boundary records thermo regardless).
+/// overflows int. A quantum >= total commits at most once, at the end.
 int slice_quantum(int checkpoint_every, int thermo_every, int preferred,
                   int total) {
   const long long cap = std::max(total, 1);
@@ -113,6 +111,7 @@ void JobServer::start() {
       job.deadline_at = now + std::chrono::milliseconds(jj.deadline_ms);
     }
     job.total_steps = jj.completed_steps;
+    job.start_steps = jj.completed_steps;
     job.live_step = std::make_shared<std::atomic<std::int64_t>>(
         static_cast<std::int64_t>(jj.completed_steps));
     if (!jj.script.empty()) {
@@ -370,8 +369,8 @@ CancelReply JobServer::cancel(std::uint64_t job_id) {
     return reply;
   }
   if (job.j.state == JobState::kRunning) {
-    // The worker owns the transition: it sees the flag at the next slice
-    // boundary and journals kCancelled itself.
+    // The worker owns the transition: the run stops at its next progress
+    // commit and the worker journals kCancelled itself.
     job.cancel_requested = true;
     reply.state = JobState::kRunning;
     return reply;
@@ -547,200 +546,155 @@ void JobServer::worker_loop() {
 }
 
 void JobServer::run_one(std::uint64_t id) {
-  // Snapshot everything the slice loop needs; the lock is only retaken
-  // at slice boundaries (progress/cancel/deadline) and at the end.
-  std::string script, tenant;
-  std::uint16_t attempt = 0, max_attempts = 1;
-  int total = 0;
+  // Snapshot everything the run needs; the lock is only retaken at each
+  // progress commit inside the run and at the end.
+  std::string script, tenant, restart;
+  std::uint16_t attempt = 0;
+  int total = 0, committed = 0;
+  std::uint64_t base_detections = 0, base_rollbacks = 0;
   std::shared_ptr<std::atomic<std::int64_t>> live_step;
   {
     std::lock_guard<std::mutex> lk(mu_);
     const Job& job = jobs_.at(id);
     script = job.j.script;
     tenant = job.j.tenant;
+    restart = job.j.restart_file;
     attempt = job.j.attempts;
-    max_attempts = job.j.max_attempts;
     total = job.total_steps;
+    committed = job.j.completed_steps;
+    base_detections = job.j.integrity_detections;
+    base_rollbacks = job.j.integrity_rollbacks;
     live_step = job.live_step;
   }
   const std::string prefix =
       cfg_.work_dir + "/job-" + std::to_string(id) + ".ck";
+  // Thermo rows past the last streamed step become the job's next chunk.
+  const auto stream_thermo = [](Job& job,
+                                const std::vector<sim::ThermoSample>& thermo) {
+    const std::string chunk = format_thermo_chunk(thermo, job.last_thermo_step);
+    if (chunk.empty()) return;
+    job.chunks.push_back(chunk);
+    job.last_thermo_step = thermo.back().step;
+  };
 
-  bool done = false;
+  sim::SimOptions opts;
+  sim::JobResult result;
   std::string failure;
-  sim::SimOptions final_opts;
-  sim::JobResult final_result;
-  // Whole-job integrity totals for the report (the final slice's result
-  // only covers itself; the job has been accumulating across slices).
-  std::uint64_t job_checks = 0, job_detections = 0, job_rollbacks = 0;
-  std::uint64_t job_flips = 0;
   try {
     if (cfg_.before_attempt_hook) cfg_.before_attempt_hook(id, attempt);
-    sim::ParsedScript parsed = sim::parse_input_script(script);
-    const int quantum =
-        slice_quantum(parsed.options.checkpoint_every,
-                      parsed.options.thermo_every, cfg_.slice_steps, total);
-    const int ck = parsed.options.checkpoint_every > 0
-                       ? parsed.options.checkpoint_every
-                       : quantum;
-    for (;;) {
-      int from = 0;
-      std::string restart;
-      {
-        std::unique_lock<std::mutex> lk(mu_);
-        Job& job = jobs_.at(id);
-        if (abandon_) {
-          release_lane_locked(tenant);
-          return;
-        }
-        if (job.cancel_requested) {
-          finish_terminal(lk, job, JobState::kCancelled,
-                          "cancelled at step " +
-                              std::to_string(job.j.completed_steps));
-          release_lane_locked(tenant);
-          return;
-        }
-        if (job.has_deadline && Clock::now() >= job.deadline_at) {
-          ++stats_.deadline_missed;
-          metric("serve.deadline_missed").add();
-          finish_terminal(lk, job, JobState::kFailed,
-                          "deadline missed at step " +
-                              std::to_string(job.j.completed_steps) +
-                              " (budget " + std::to_string(job.j.deadline_ms) +
-                              " ms)");
-          release_lane_locked(tenant);
-          return;
-        }
-        from = job.j.completed_steps;
-        restart = job.j.restart_file;
-      }
-      if (from >= total) {
-        if (done || total <= 0) break;
-        // Recovered job whose last incarnation crashed between the final
-        // slice's progress record and the terminal record: the journal
-        // says all steps completed, but this incarnation has streamed no
-        // thermo and written no artifacts. Fall through with a
-        // target == total slice: run_simulation restores the newest
-        // checkpoint (a zero-step resume when it sits at `total`, at
-        // most the final partial slice otherwise — or a full
-        // deterministic re-run when no checkpoint was ever cut) and its
-        // result carries the complete thermo history, so kDone is only
-        // journaled after the report/dump exist and the full series is
-        // fetchable.
-      }
-      const int target = static_cast<int>(std::min<long long>(
-          total, (static_cast<long long>(from) / quantum + 1) *
-                     static_cast<long long>(quantum)));
-
-      sim::SimOptions opts = parsed.options;
-      opts.checkpoint_every = ck;
-      opts.checkpoint_path = prefix;
-      opts.restart_file = restart;
-      if (opts.checkpoint_keep == 0) opts.checkpoint_keep = cfg_.checkpoint_keep;
-      if (opts.integrity.cadence == 0) {
-        opts.integrity.cadence = cfg_.integrity_cadence;
-      }
-      if (cfg_.fault_plan.any_faults()) opts.faults = cfg_.fault_plan;
-      opts.progress = live_step.get();
-      // Attribute heap traffic from serving-side slice execution (script
-      // re-parse, checkpoint resume, result marshalling) separately from
-      // the sim stages, which carry their own scopes.
-      LMP_ALLOC_SCOPE("serve:slice");
-      sim::JobResult result = sim::run_simulation(opts, target);
-
-      std::unique_lock<std::mutex> lk(mu_);
-      Job& job = jobs_.at(id);
-      const std::string chunk =
-          format_thermo_chunk(result.thermo, job.last_thermo_step);
-      if (!chunk.empty()) {
-        job.chunks.push_back(chunk);
-        job.last_thermo_step = result.thermo.back().step;
-      }
-      job.j.completed_steps = target;
-      if (target % ck == 0) {
-        job.j.restart_file = prefix + "." + std::to_string(target);
-      }
-      // Integrity bookkeeping: detections/rollbacks ride the journal
-      // (durable per-job history), checks/flips feed stats and reports.
-      const sim::JobHealth& sh = result.health;
-      job.j.integrity_detections += sh.integrity_detections;
-      job.j.integrity_rollbacks += sh.integrity_rollbacks;
-      job.integrity_checks += sh.integrity_checks;
-      job.mem_flips_injected += sh.mem_flips_injected;
-      stats_.integrity_checks += sh.integrity_checks;
-      stats_.integrity_detections += sh.integrity_detections;
-      stats_.integrity_rollbacks += sh.integrity_rollbacks;
-      stats_.mem_flips_injected += sh.mem_flips_injected;
-      metric("serve.integrity_checks").add(sh.integrity_checks);
-      metric("serve.integrity_detections").add(sh.integrity_detections);
-      metric("serve.integrity_rollbacks").add(sh.integrity_rollbacks);
-      metric("serve.mem_flips_injected").add(sh.mem_flips_injected);
-      job_checks = job.integrity_checks;
-      job_detections = job.j.integrity_detections;
-      job_rollbacks = job.j.integrity_rollbacks;
-      job_flips = job.mem_flips_injected;
-      // Progress WAL: a crash after this point resumes from `target`,
-      // not from the attempt's start.
-      record_state_locked(job);
-      if (target >= total) {
-        final_opts = opts;
-        final_result = std::move(result);
-        done = true;
-      }
+    opts = sim::parse_input_script(script).options;
+    const int quantum = slice_quantum(opts.checkpoint_every, opts.thermo_every,
+                                      cfg_.slice_steps, total);
+    if (opts.checkpoint_every == 0) opts.checkpoint_every = quantum;
+    opts.checkpoint_path = prefix;
+    // Every attempt resumes from the newest journaled checkpoint (none:
+    // a full deterministic run), so a recovered job whose journal says
+    // all steps completed still regenerates its thermo and artifacts.
+    opts.restart_file = restart;
+    if (opts.checkpoint_keep == 0) opts.checkpoint_keep = cfg_.checkpoint_keep;
+    if (opts.integrity.cadence == 0) {
+      opts.integrity.cadence = cfg_.integrity_cadence;
     }
+    if (cfg_.fault_plan.any_faults()) opts.faults = cfg_.fault_plan;
+    opts.progress = live_step.get();
+    // Progress commit on every quantum boundary: stream the thermo, make
+    // the checkpoint the job's durable resume point, then stop the run
+    // if the job was cancelled, overran its deadline or the server is
+    // abandoning. A step at or below the last commit was journaled
+    // already (a restart from an older file recomputes it): skip it.
+    opts.on_commit = [&, quantum](int step,
+                                  const std::vector<sim::ThermoSample>& thermo,
+                                  const sim::JobHealth& so_far) {
+      if (step <= committed || step % quantum != 0) return false;
+      committed = step;
+      std::lock_guard<std::mutex> lk(mu_);
+      Job& job = jobs_.at(id);
+      stream_thermo(job, thermo);
+      job.j.completed_steps = step;
+      job.j.restart_file = prefix + "." + std::to_string(step);
+      job.j.integrity_detections = base_detections + so_far.integrity_detections;
+      job.j.integrity_rollbacks = base_rollbacks + so_far.integrity_rollbacks;
+      // Progress WAL: a crash after this point resumes from `step`.
+      record_state_locked(job);
+      return abandon_ || job.cancel_requested ||
+             (job.has_deadline && Clock::now() >= job.deadline_at);
+    };
+    // Attribute the worker thread's heap traffic (script parse, checkpoint
+    // resume, result marshalling) apart from the sim stages, which carry
+    // their own scopes.
+    LMP_ALLOC_SCOPE("serve:run");
+    result = sim::run_simulation(opts, total);
   } catch (const std::exception& e) {
     failure = e.what();
     if (failure.empty()) failure = "unknown failure";
   }
 
-  if (done) {
-    // The report covers the whole job, not just the final slice.
-    final_result.health.integrity_checks = job_checks;
-    final_result.health.integrity_detections = job_detections;
-    final_result.health.integrity_rollbacks = job_rollbacks;
-    final_result.health.mem_flips_injected = job_flips;
-    // Durable artifacts before the terminal journal record: a report
-    // that exists implies the journal says done, never the reverse.
-    if (cfg_.write_reports) {
-      const obs::RunReport report =
-          sim::build_run_report(final_opts, total, final_result);
-      obs::write_text_file(
-          cfg_.work_dir + "/job-" + std::to_string(id) + ".report.json",
-          report.to_json());
-    }
-    if (cfg_.write_dumps) {
-      write_atom_dump(cfg_.work_dir + "/job-" + std::to_string(id) + ".dump",
-                      final_result);
-    }
+  const bool done = failure.empty() && result.stop_step == 0;
+  // Durable artifacts before the terminal journal record: a report that
+  // exists implies the journal says done, never the reverse.
+  if (done && cfg_.write_reports) {
+    const obs::RunReport report = sim::build_run_report(opts, total, result);
+    obs::write_text_file(
+        cfg_.work_dir + "/job-" + std::to_string(id) + ".report.json",
+        report.to_json());
+  }
+  if (done && cfg_.write_dumps) {
+    write_atom_dump(cfg_.work_dir + "/job-" + std::to_string(id) + ".dump",
+                    result);
   }
 
   std::unique_lock<std::mutex> lk(mu_);
   Job& job = jobs_.at(id);
+  if (failure.empty()) {
+    // The run's integrity counters: the journal keeps the job's
+    // detection and rollback history, stats and metrics add the run.
+    const sim::JobHealth& h = result.health;
+    job.j.integrity_detections = base_detections + h.integrity_detections;
+    job.j.integrity_rollbacks = base_rollbacks + h.integrity_rollbacks;
+    stats_.integrity_checks += h.integrity_checks;
+    stats_.integrity_detections += h.integrity_detections;
+    stats_.integrity_rollbacks += h.integrity_rollbacks;
+    stats_.mem_flips_injected += h.mem_flips_injected;
+    metric("serve.integrity_checks").add(h.integrity_checks);
+    metric("serve.integrity_detections").add(h.integrity_detections);
+    metric("serve.integrity_rollbacks").add(h.integrity_rollbacks);
+    metric("serve.mem_flips_injected").add(h.mem_flips_injected);
+  }
   if (abandon_) {
     release_lane_locked(tenant);
     return;
   }
-  if (done || job.j.completed_steps >= total) {
+  if (done) {
+    stream_thermo(job, result.thermo);
+    job.j.completed_steps = total;
     finish_terminal(lk, job, JobState::kDone, "ok");
-  } else if (!failure.empty()) {
-    if (job.j.attempts >= job.j.max_attempts) {
-      finish_terminal(lk, job, JobState::kFailed,
-                      "attempt " + std::to_string(job.j.attempts) + "/" +
-                          std::to_string(max_attempts) + ": " + failure);
-    } else {
-      ++stats_.retries;
-      metric("serve.retries").add();
-      const std::uint32_t shift =
-          job.j.attempts > 0 ? job.j.attempts - 1 : 0;
-      std::uint64_t backoff = cfg_.retry_backoff_ms;
-      backoff <<= std::min<std::uint32_t>(shift, 16);
-      backoff = std::min<std::uint64_t>(backoff, cfg_.retry_backoff_max_ms);
-      job.j.state = JobState::kRetrying;
-      job.j.detail = failure;
-      job.ready_at = Clock::now() + std::chrono::milliseconds(backoff);
-      record_state_locked(job);
-      cv_.notify_all();
-    }
+  } else if (job.cancel_requested) {
+    finish_terminal(lk, job, JobState::kCancelled,
+                    "cancelled at step " +
+                        std::to_string(job.j.completed_steps));
+  } else if (job.has_deadline && Clock::now() >= job.deadline_at) {
+    ++stats_.deadline_missed;
+    metric("serve.deadline_missed").add();
+    finish_terminal(lk, job, JobState::kFailed,
+                    "deadline missed at step " +
+                        std::to_string(job.j.completed_steps) + " (budget " +
+                        std::to_string(job.j.deadline_ms) + " ms)");
+  } else if (job.j.attempts >= job.j.max_attempts) {
+    finish_terminal(lk, job, JobState::kFailed,
+                    "attempt " + std::to_string(job.j.attempts) + "/" +
+                        std::to_string(job.j.max_attempts) + ": " + failure);
+  } else {
+    ++stats_.retries;
+    metric("serve.retries").add();
+    const std::uint32_t shift = job.j.attempts > 0 ? job.j.attempts - 1 : 0;
+    std::uint64_t backoff = cfg_.retry_backoff_ms;
+    backoff <<= std::min<std::uint32_t>(shift, 16);
+    backoff = std::min<std::uint64_t>(backoff, cfg_.retry_backoff_max_ms);
+    job.j.state = JobState::kRetrying;
+    job.j.detail = failure;
+    job.ready_at = Clock::now() + std::chrono::milliseconds(backoff);
+    record_state_locked(job);
+    cv_.notify_all();
   }
   release_lane_locked(tenant);
 }
@@ -767,6 +721,7 @@ ServerProbe JobServer::probe_telemetry() const {
     jp.name = job.j.name;
     jp.state = job.j.state;
     jp.total_steps = job.total_steps;
+    jp.start_steps = job.start_steps;
     jp.rollbacks = job.j.integrity_rollbacks;
     const std::int64_t live =
         job.live_step ? job.live_step->load(std::memory_order_relaxed) : 0;

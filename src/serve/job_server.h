@@ -35,10 +35,10 @@ enum class StopMode {
   /// Graceful: stop admitting, let running jobs finish (journaled),
   /// leave queued jobs pending in the journal for the next incarnation.
   kDrain,
-  /// Crash rehearsal: workers abandon after the current slice and
-  /// nothing further is journaled — the on-disk state is exactly what a
-  /// kill -9 would leave. Used by the chaos tests; a real deployment
-  /// uses kDrain.
+  /// Crash rehearsal: running jobs stop at their next progress commit
+  /// and nothing further is journaled — the on-disk state is exactly
+  /// what a kill -9 would leave. Used by the chaos tests; a real
+  /// deployment uses kDrain.
   kAbandon,
 };
 
@@ -54,10 +54,10 @@ struct ServerConfig {
   std::map<std::string, TenantQuota> tenant_quotas;  ///< overrides by tenant
   std::uint32_t default_deadline_ms = 0;  ///< 0 = no deadline
   std::uint16_t default_max_attempts = 3;
-  /// Preferred checkpoint/slice cadence (steps) when the script does not
-  /// set `checkpoint`. The actual slice quantum is rounded up to a
-  /// common multiple of checkpoint_every and thermo_every so sliced and
-  /// uninterrupted runs produce bitwise-identical thermo series.
+  /// Preferred progress-commit cadence (steps). The actual quantum is
+  /// rounded up to a common multiple of checkpoint_every and
+  /// thermo_every, so every commit lands on a checkpoint and a thermo
+  /// step; a script that sets no `checkpoint` is checkpointed on it.
   int slice_steps = 10;
   /// On-disk checkpoint retention per job: keep only the newest K
   /// checkpoint files (0 = keep everything, the pre-retention behavior).
@@ -178,24 +178,21 @@ class JobServer {
   struct Job {
     JournalJob j;
     std::int32_t total_steps = 0;  ///< run N from the script (0 if unknown)
+    std::int32_t start_steps = 0;  ///< journaled progress at recovery
     Clock::time_point admitted_at{};
     Clock::time_point ready_at{};    ///< retry backoff gate
     Clock::time_point deadline_at{}; ///< valid when has_deadline
     bool has_deadline = false;
     bool cancel_requested = false;
-    std::vector<std::string> chunks;  ///< thermo text, one per slice
+    std::vector<std::string> chunks;  ///< thermo text, one per commit
     /// Highest thermo step already streamed into `chunks`; -1 so the
-    /// first slice after admission OR recovery streams the full series
-    /// (a resumed run's result carries its checkpointed history, which
-    /// the new incarnation has not streamed yet).
+    /// first commit after admission OR recovery streams the full series
+    /// (a resumed run carries its checkpointed history, which the new
+    /// incarnation has not streamed yet).
     int last_thermo_step = -1;
-    /// Runtime-only integrity accumulators (detections/rollbacks are
-    /// journaled in `j`; these two only feed the report and ServeStats).
-    std::uint64_t integrity_checks = 0;
-    std::uint64_t mem_flips_injected = 0;
     /// Live step progress: rank 0 of a running attempt stores the
     /// just-completed step here (SimOptions::progress); the telemetry
-    /// sampler delta-reads it between slice boundaries. shared_ptr so
+    /// sampler delta-reads it between progress commits. shared_ptr so
     /// the attempt keeps it alive independent of map operations.
     std::shared_ptr<std::atomic<std::int64_t>> live_step;
   };

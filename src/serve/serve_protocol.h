@@ -29,7 +29,7 @@ struct ServeStats {
   std::uint64_t cancelled = 0;
   std::uint64_t recovered = 0;          ///< jobs requeued from the journal
   std::uint64_t journal_torn_bytes = 0; ///< tail truncated during recovery
-  // Silent-corruption guards, summed over every slice of every job.
+  // Silent-corruption guards, summed over every run of every job.
   std::uint64_t integrity_checks = 0;
   std::uint64_t integrity_detections = 0;
   std::uint64_t integrity_rollbacks = 0;

@@ -105,7 +105,15 @@ void TelemetrySampler::tick_locked(std::int64_t t_ms) {
   std::map<std::string, double> tenant_rollbacks;
   double server_steps = 0.0;
   for (const JobProgress& jp : probe.jobs) {
-    const std::uint64_t delta = job_step_deltas_[jp.id].advance(
+    // A job first seen here is primed at the progress it had when this
+    // server took it, so steps run before the first tick that sees the
+    // job (a job shorter than one interval) still count.
+    const auto [it, fresh] = job_step_deltas_.try_emplace(jp.id);
+    if (fresh) {
+      it->second.advance(
+          static_cast<std::uint64_t>(std::max<std::int64_t>(jp.start_steps, 0)));
+    }
+    const std::uint64_t delta = it->second.advance(
         static_cast<std::uint64_t>(std::max<std::int64_t>(jp.steps, 0)));
     if (delta > 0 || jp.state == JobState::kRunning) {
       series_.series("job." + std::to_string(jp.id) + ".steps")

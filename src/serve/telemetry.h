@@ -41,6 +41,9 @@ struct JobProgress {
   std::string name;
   JobState state = JobState::kPending;
   std::int64_t steps = 0;
+  /// Progress when this server took the job: 0, or a recovered job's
+  /// journaled steps. The first sighting counts steps from here.
+  std::int64_t start_steps = 0;
   std::int32_t total_steps = 0;
   std::uint64_t rollbacks = 0;  ///< journaled integrity rollbacks so far
 };

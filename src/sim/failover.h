@@ -38,8 +38,10 @@ struct AttemptOutcome {
 ///
 /// On either outcome the attempt adds its checkpoint, guard and fabric
 /// counters and its link traffic into `record`; on success it also
-/// stores the ranks, thermo, atoms and rank-summed comm health. A
-/// genuine bug (not a failover trigger) is rethrown.
+/// stores the ranks, thermo, atoms, rank-summed comm health and the
+/// commit hook's stop step. The hook reads `record.health` as the job's
+/// failover record so far. A genuine bug (not a failover trigger) is
+/// rethrown.
 AttemptOutcome run_attempt(const SimOptions& options,
                            const std::string& variant,
                            const std::shared_ptr<const CheckpointState>& from,

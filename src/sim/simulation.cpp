@@ -69,6 +69,7 @@ struct JobShared {
   SimOptions opt;
   std::string variant;                   ///< comm variant of this attempt
   const CheckpointState* restart;        ///< null for a fresh start
+  const JobHealth& history;              ///< the job's record so far
   int start_step = 0;                    ///< loop resumes at start_step + 1
   geom::FccLattice lattice{1.0};
   geom::Box global;
@@ -97,6 +98,10 @@ struct JobShared {
   /// Content checksum of `last_ckpt`, recorded at commit and re-verified
   /// before the attempt loop resumes from it (integrity guards only).
   std::uint64_t last_ckpt_hash = 0;
+  /// Step at which opt.on_commit stopped the run (0: never). Written by
+  /// rank 0 in commit_checkpoint, read by every rank after the commit's
+  /// second barrier.
+  int stop_step = 0;
 
   // --- silent-corruption guards ---------------------------------------
   /// Owned by run_simulation so transient-flip history survives the
@@ -120,10 +125,12 @@ struct JobShared {
   std::exception_ptr fatal;  ///< genuine bug — rethrown, never failed over
 
   JobShared(const SimOptions& o, std::string variant_name,
-            const CheckpointState* rst, tofu::MemFaultInjector* mem_inj)
+            const CheckpointState* rst, const JobHealth& hist,
+            tofu::MemFaultInjector* mem_inj)
       : opt(o),
         variant(std::move(variant_name)),
         restart(rst),
+        history(hist),
         world(o.rank_grid.x * o.rank_grid.y * o.rank_grid.z),
         net(o.rank_grid.x * o.rank_grid.y * o.rank_grid.z),
         book(o.rank_grid.x * o.rank_grid.y * o.rank_grid.z),
@@ -174,8 +181,9 @@ struct JobShared {
   }
 
   /// Rank 0, between the two barriers of a checkpoint step: freeze the
-  /// staged per-rank atoms + thermo into the rollback snapshot and, when
-  /// a path is configured, publish it to disk atomically.
+  /// staged per-rank atoms + thermo into the rollback snapshot, publish
+  /// it to disk atomically when a path is configured, then report the
+  /// commit to opt.on_commit.
   void commit_checkpoint(int step) {
     auto st = std::make_shared<CheckpointState>();
     st->step = step;
@@ -202,6 +210,7 @@ struct JobShared {
     last_ckpt_hash = opt.integrity.enabled() ? checkpoint_content_hash(*st) : 0;
     last_ckpt = std::move(st);
     LMP_TRACE_INSTANT(obs::TraceCat::kCkpt, "checkpoint.commit");
+    if (opt.on_commit && opt.on_commit(step, thermo, history)) stop_step = step;
   }
 
  private:
@@ -398,7 +407,8 @@ class RankSim {
       if (guard_step(step_)) check_integrity(step_);
 
       if (ckpt_step) {
-        stage_checkpoint(step_);
+        // A stop from the commit hook ends the run here on every rank.
+        if (stage_checkpoint(step_)) break;
         check_health(step_);
       }
 
@@ -643,8 +653,9 @@ class RankSim {
   /// End-of-step checkpoint: stage my owned atoms, then let rank 0
   /// freeze the collective snapshot between two barriers. The first
   /// barrier orders every rank's staging before the commit; the second
-  /// keeps the stage buffers stable until the commit is done.
-  void stage_checkpoint(int step) {
+  /// keeps the stage buffers stable until the commit is done and
+  /// publishes the commit hook's verdict: true means stop at this step.
+  bool stage_checkpoint(int step) {
     obs::ScopedStage s(timer_, Stage::kOther);
     auto& mine = job_.ckpt_stage[static_cast<std::size_t>(rank_)];
     mine.clear();
@@ -655,6 +666,7 @@ class RankSim {
     job_.world.barrier(rank_);
     if (rank_ == 0) job_.commit_checkpoint(step);
     job_.world.barrier(rank_);
+    return job_.stop_step == step;
   }
 
   /// Collective soft-failure assessment at a checkpoint step: any rank
@@ -886,7 +898,7 @@ AttemptOutcome run_attempt(const SimOptions& options,
                            const std::shared_ptr<const CheckpointState>& from,
                            int nsteps, tofu::MemFaultInjector* mem,
                            JobResult& record) {
-  JobShared job(options, variant, from.get(), mem);
+  JobShared job(options, variant, from.get(), record.health, mem);
   const int nranks = job.decomp.nranks();
 
   const auto rank_main = [&](int rank) {
@@ -969,6 +981,7 @@ AttemptOutcome run_attempt(const SimOptions& options,
   }
 
   out.ok = true;
+  record.stop_step = job.stop_step;
   record.ranks = std::move(job.results);
   record.thermo = std::move(job.thermo);
   record.natoms = job.natoms_total;

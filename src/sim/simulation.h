@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -22,6 +23,9 @@
 #include "util/vec3.h"
 
 namespace lmp::sim {
+
+struct ThermoSample;
+struct JobHealth;
 
 struct SimOptions {
   md::SimConfig config = md::SimConfig::lj_melt();
@@ -93,6 +97,17 @@ struct SimOptions {
   /// thread delta-reads it; nothing on the hot path ever locks. The
   /// pointee must outlive the run.
   std::atomic<std::int64_t>* progress = nullptr;
+  /// Checkpoint-commit hook: rank 0 calls it inside every checkpoint
+  /// commit, after the file (when a path is set) is durable and while
+  /// the other ranks wait at the commit barrier. It sees the committed
+  /// step, the thermo series up to it and the job's failover record so
+  /// far. Returning true stops the run at that step on every rank
+  /// (JobResult::stop_step). Rollbacks and restarts recompute steps: a
+  /// run restarted from an older file commits steps a previous run
+  /// already committed.
+  std::function<bool(int step, const std::vector<ThermoSample>& thermo,
+                     const JobHealth& so_far)>
+      on_commit;
 
   // --- steady-state zero-alloc guard ------------------------------------
   /// When set, rank 0 delta-reads the process-wide alloc counter after
@@ -202,6 +217,9 @@ struct JobResult {
   /// Step the (final) attempt resumed from: 0 for a fresh start, the
   /// checkpoint step for restarts and post-failover attempts.
   int restart_step = 0;
+  /// Step at which SimOptions::on_commit stopped the run; 0 when it ran
+  /// to nsteps.
+  int stop_step = 0;
   /// Variant that actually finished the run — differs from
   /// SimOptions::comm when the degradation ladder was walked.
   std::string final_comm;

@@ -14,9 +14,11 @@
 #include <thread>
 #include <vector>
 
+#include "comm/msg_codec.h"
 #include "sim/input_script.h"
 #include "sim/simulation.h"
 #include "test_tmp.h"
+#include "util/json_mini.h"
 
 namespace lmp::serve {
 namespace {
@@ -100,6 +102,90 @@ SubmitRequest make_submit(const std::string& tenant, const std::string& name,
   req.name = name;
   req.script = script;
   return req;
+}
+
+/// Threads of this process: a job's rank threads are gone once it is
+/// terminal, so the count returns to what the idle server had.
+std::size_t thread_count() {
+  std::size_t n = 0;
+  for (const auto& e :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)e;
+    ++n;
+  }
+  return n;
+}
+
+/// One journaled state transition, as appended (job_journal.cpp's state
+/// record layout).
+struct StateRecord {
+  std::uint64_t id = 0;
+  JobState state = JobState::kPending;
+  std::int32_t completed_steps = 0;
+  std::string restart_file;
+};
+
+/// Every state record in the journal file at `path`, in append order.
+std::vector<StateRecord> state_records(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  const std::string log((std::istreambuf_iterator<char>(is)),
+                        std::istreambuf_iterator<char>());
+  std::vector<StateRecord> out;
+  for (std::size_t off = 0; off < log.size();) {
+    const comm::FrameView f = comm::decode_frame(log.data() + off,
+                                                 log.size() - off);
+    if (!f.ok()) break;
+    off += f.consumed;
+    if (f.type != 0x4A02) continue;
+    comm::WireReader r(f.payload, f.payload_len, "test state record");
+    StateRecord rec;
+    rec.id = r.u64();
+    rec.state = to_job_state(r.u8());
+    r.u16();  // attempts
+    rec.completed_steps = r.i32();
+    rec.restart_file = r.str();
+    out.push_back(rec);
+  }
+  return out;
+}
+
+/// Checks a finished job's journal history: progress never goes back,
+/// each step is committed once, and every commit names a checkpoint file
+/// that exists.
+void expect_commits_once(const std::string& journal, std::uint64_t id) {
+  int last = 0;
+  std::vector<int> commits;
+  for (const StateRecord& rec : state_records(journal)) {
+    if (rec.id != id) continue;
+    EXPECT_GE(rec.completed_steps, last) << "journaled progress went back";
+    if (rec.state == JobState::kRunning && rec.completed_steps > last) {
+      commits.push_back(rec.completed_steps);
+      EXPECT_TRUE(std::filesystem::exists(rec.restart_file))
+          << rec.restart_file;
+    } else if (rec.state == JobState::kRunning && rec.completed_steps > 0) {
+      ADD_FAILURE() << "step " << rec.completed_steps << " committed twice";
+    }
+    last = rec.completed_steps;
+  }
+  EXPECT_FALSE(commits.empty());
+}
+
+/// Thermo text has one row per step, in increasing step order.
+void expect_rows_once(const std::string& thermo) {
+  std::istringstream in(thermo);
+  int last = -1;
+  for (std::string line; std::getline(in, line);) {
+    const int step = std::stoi(line);
+    EXPECT_GT(step, last) << "thermo row for step " << step << " repeated";
+    last = step;
+  }
+}
+
+util::JsonValue read_report(const std::string& work_dir, std::uint64_t id) {
+  std::ifstream in(work_dir + "/job-" + std::to_string(id) + ".report.json");
+  std::stringstream ss;
+  ss << in.rdbuf();
+  return util::parse_json(ss.str());
 }
 
 // --- protocol -----------------------------------------------------------
@@ -285,7 +371,7 @@ TEST(JobServer, RunsJobStreamsBitwiseIdenticalThermoAndWritesReport) {
   EXPECT_EQ(s->attempts, 1);
   EXPECT_EQ(s->completed_steps, 20);
   EXPECT_EQ(s->total_steps, 20);
-  EXPECT_GE(s->chunks_available, 2u);  // 20 steps / 10-step slices
+  EXPECT_GE(s->chunks_available, 2u);  // 20 steps / 10-step commits
 
   // The streamed thermo is bitwise-identical to an uninterrupted run
   // with the same checkpoint cadence.
@@ -306,11 +392,66 @@ TEST(JobServer, RunsJobStreamsBitwiseIdenticalThermoAndWritesReport) {
   server.stop(StopMode::kDrain);
 }
 
+TEST(JobServer, ReportCoversTheWholeRun) {
+  // A served job is one run: its report starts at step 0 and counts
+  // every checkpoint, not just those after the last progress commit.
+  ServerConfig cfg = base_config("report");
+  const std::string script = melt_script(20);
+  const std::string reference = reference_thermo(script, 10);
+  std::uint64_t id = 0;
+  {
+    JobServer server(cfg);
+    server.start();
+    const SubmitReply r = server.submit(make_submit("acme", "whole", script));
+    ASSERT_TRUE(r.accepted);
+    ASSERT_TRUE(server.wait_all_terminal(60000));
+    id = r.job_id;
+    EXPECT_EQ(all_chunks(server, id), reference);
+    server.stop(StopMode::kDrain);
+  }
+  const util::JsonValue rep = read_report(cfg.work_dir, id);
+  EXPECT_EQ(rep.get_int("restart_step", -1), 0);
+  ASSERT_NE(rep.find("health"), nullptr);
+  EXPECT_EQ(rep.find("health")->get_int("checkpoints_written"), 2);
+
+  // A crash-recovered job reports the step it resumed from: journal the
+  // same script as a job whose last incarnation committed step 10.
+  ServerConfig cfg2 = base_config("report2");
+  std::uint64_t id2 = 0;
+  {
+    JobJournal j;
+    j.open(cfg2.journal_path);
+    JournalJob jj;
+    jj.id = id2 = j.next_id();
+    jj.tenant = "acme";
+    jj.name = "resumed";
+    jj.script = script;
+    jj.max_attempts = 3;
+    const std::string ck10 =
+        cfg2.work_dir + "/job-" + std::to_string(id2) + ".ck.10";
+    std::filesystem::copy_file(
+        cfg.work_dir + "/job-" + std::to_string(id) + ".ck.10", ck10);
+    j.record_submit(jj);
+    j.record_state(id2, JobState::kRunning, 1, 10, ck10, "");
+    j.close();
+  }
+  JobServer server(cfg2);
+  server.start();
+  ASSERT_TRUE(server.wait_all_terminal(60000));
+  EXPECT_EQ(server.status(id2)->state, JobState::kDone);
+  EXPECT_EQ(all_chunks(server, id2), reference);
+  server.stop(StopMode::kDrain);
+  const util::JsonValue rep2 = read_report(cfg2.work_dir, id2);
+  EXPECT_EQ(rep2.get_int("restart_step", -1), 10);
+  ASSERT_NE(rep2.find("health"), nullptr);
+  EXPECT_EQ(rep2.find("health")->get_int("checkpoints_written"), 1);
+}
+
 TEST(JobServer, HealsInjectedMemoryFlipAndSurfacesIntegrityCounters) {
   ServerConfig cfg = base_config("integrity");
   cfg.integrity_cadence = 5;
-  // One transient velocity flip in the job's second slice. The guards
-  // must detect it, roll back within the slice, and finish the job —
+  // One transient velocity flip after the job's first commit. The guards
+  // must detect it, roll back within the run, and finish the job —
   // the tenant sees a completed run plus an honest integrity history.
   tofu::MemFault flip;
   flip.step = 15;
@@ -332,8 +473,10 @@ TEST(JobServer, HealsInjectedMemoryFlipAndSurfacesIntegrityCounters) {
   EXPECT_EQ(s->state, JobState::kDone);
   EXPECT_EQ(s->completed_steps, 20);
 
-  // The healed stream still matches the fault-free reference bitwise.
+  // The healed stream still matches the fault-free reference bitwise,
+  // and the rollback's recomputed steps were committed once.
   EXPECT_EQ(all_chunks(server, r.job_id), reference_thermo(script, 10));
+  expect_commits_once(cfg.journal_path, r.job_id);
 
   const ServeStats st = server.stats();
   EXPECT_EQ(st.completed, 1u);
@@ -355,6 +498,47 @@ TEST(JobServer, HealsInjectedMemoryFlipAndSurfacesIntegrityCounters) {
   EXPECT_NE(json.find("\"detections\":1"), std::string::npos);
   EXPECT_NE(json.find("\"rollbacks\":1"), std::string::npos);
   EXPECT_NE(json.find("\"mem_flips_injected\":1"), std::string::npos);
+  server.stop(StopMode::kDrain);
+}
+
+TEST(JobServer, DeadTniFailoverCommitsEachStepOnce) {
+  // A dead TNI leaves 6tni_p2p with fewer TNIs than the job's health
+  // budget allows: the run escalates to mpi_p2p at its first checkpoint
+  // step, right after that step's progress commit, and finishes there.
+  ServerConfig cfg = base_config("deadtni");
+  cfg.fault_plan.dead_tnis = {0};
+  JobServer server(cfg);
+  server.start();
+
+  const std::string script = melt_script(
+      30, 5,
+      "processors 1 1 2\n"
+      "comm_variant 6tni_p2p\n"
+      "failover_chain mpi_p2p\n"
+      "health_threshold min_tnis 6\n",
+      4);
+  const SubmitReply r = server.submit(make_submit("acme", "degraded", script));
+  ASSERT_TRUE(r.accepted);
+  ASSERT_TRUE(server.wait_all_terminal(60000));
+
+  const std::optional<JobStatus> s = server.status(r.job_id);
+  ASSERT_TRUE(s.has_value());
+  EXPECT_EQ(s->state, JobState::kDone) << s->detail;
+  EXPECT_EQ(s->completed_steps, 30);
+  const std::string thermo = all_chunks(server, r.job_id);
+  expect_rows_once(thermo);
+  EXPECT_EQ(thermo, reference_thermo(script, 10));
+  expect_commits_once(cfg.journal_path, r.job_id);
+
+  const util::JsonValue rep = read_report(cfg.work_dir, r.job_id);
+  EXPECT_EQ(rep.get_str("comm_final"), "mpi_p2p");
+  const util::JsonValue* health = rep.find("health");
+  ASSERT_NE(health, nullptr);
+  const util::JsonValue* esc = health->find("escalations");
+  ASSERT_NE(esc, nullptr);
+  ASSERT_EQ(esc->items.size(), 1u);
+  EXPECT_EQ(esc->items[0].get_int("fail_step"), 10);
+  EXPECT_EQ(esc->items[0].get_int("resume_step"), 10);
   server.stop(StopMode::kDrain);
 }
 
@@ -444,6 +628,37 @@ TEST(JobServer, TinyDeadlineMissesWithStructuredFailure) {
   EXPECT_EQ(server.stats().deadline_missed, 1u);
   EXPECT_EQ(server.stats().retries, 0u);  // deadline misses never retry
   server.stop(StopMode::kDrain);
+
+  // A deadline that passes mid-run stops the run at the progress commit
+  // that sees it: the journal hook holds the step-10 commit past the
+  // deadline, so the run ends right there with every rank thread joined.
+  ServerConfig cfg2 = base_config("deadline2");
+  std::atomic<bool> armed{false};
+  cfg2.before_attempt_hook = [&armed](std::uint64_t, int) { armed = true; };
+  cfg2.journal_fault_hook = [&armed] {
+    if (armed.exchange(false)) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(600));
+    }
+  };
+  JobServer server2(cfg2);
+  server2.start();
+  const std::size_t idle_threads = thread_count();
+  SubmitRequest req2 = make_submit(
+      "acme", "overrun", melt_script(200, 5, "processors 1 1 2\n", 4));
+  req2.deadline_ms = 300;
+  const SubmitReply r2 = server2.submit(req2);
+  ASSERT_TRUE(r2.accepted);
+  ASSERT_TRUE(server2.wait_all_terminal(60000));
+  const std::optional<JobStatus> s2 = server2.status(r2.job_id);
+  ASSERT_TRUE(s2.has_value());
+  EXPECT_EQ(s2->state, JobState::kFailed);
+  EXPECT_EQ(s2->completed_steps, 10);
+  EXPECT_NE(s2->detail.find("deadline missed at step 10"), std::string::npos)
+      << s2->detail;
+  EXPECT_EQ(thread_count(), idle_threads);
+  EXPECT_TRUE(std::filesystem::exists(cfg2.work_dir + "/job-" +
+                                      std::to_string(r2.job_id) + ".ck.10"));
+  server2.stop(StopMode::kDrain);
 }
 
 TEST(JobServer, TransientFaultRetriesThenSucceeds) {
@@ -509,8 +724,8 @@ TEST(JobServer, CancelPendingAndRunningJobs) {
   server.stop(StopMode::kDrain);
 
   // Cancel mid-run: the hook parks the worker long enough to land the
-  // cancel while the job is running; the worker honours it at the next
-  // slice boundary check.
+  // cancel while the job is running; the run stops at its next progress
+  // commit.
   ServerConfig cfg2 = base_config("cancel2");
   cfg2.before_attempt_hook = [](std::uint64_t, int) {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
@@ -532,6 +747,51 @@ TEST(JobServer, CancelPendingAndRunningJobs) {
   ASSERT_TRUE(s2.has_value());
   EXPECT_EQ(s2->state, JobState::kCancelled);
   server2.stop(StopMode::kDrain);
+
+  // Cancel deep inside a run: the journal hook parks the job in its
+  // first progress commit (step 10) until the cancel is queued on the
+  // server lock, so the cancel lands after that commit's check. The run
+  // stops at its next commit; by the time the job is terminal every rank
+  // thread is joined, and the journal names that step's checkpoint.
+  ServerConfig cfg3 = base_config("cancel3");
+  std::atomic<bool> armed{false}, parked{false}, release{false};
+  cfg3.before_attempt_hook = [&armed](std::uint64_t, int) { armed = true; };
+  cfg3.journal_fault_hook = [&] {
+    if (!armed.exchange(false)) return;  // only the first progress commit
+    parked = true;
+    while (!release) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  };
+  JobServer server3(cfg3);
+  server3.start();
+  const std::size_t idle_threads = thread_count();
+  const SubmitReply r3 = server3.submit(make_submit(
+      "acme", "deep", melt_script(200, 5, "processors 1 1 2\n", 4)));
+  ASSERT_TRUE(r3.accepted);
+  while (!parked) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  release = true;
+  EXPECT_EQ(server3.cancel(r3.job_id).state, JobState::kRunning);
+  ASSERT_TRUE(server3.wait_all_terminal(60000));
+  const std::optional<JobStatus> s3 = server3.status(r3.job_id);
+  ASSERT_TRUE(s3.has_value());
+  EXPECT_EQ(s3->state, JobState::kCancelled);
+  EXPECT_GT(s3->completed_steps, 10);
+  EXPECT_LT(s3->completed_steps, 200);
+  EXPECT_EQ(s3->completed_steps % 10, 0);
+  EXPECT_EQ(s3->detail,
+            "cancelled at step " + std::to_string(s3->completed_steps));
+  EXPECT_EQ(thread_count(), idle_threads);
+  server3.stop(StopMode::kDrain);
+
+  JobJournal journal;
+  journal.open(cfg3.journal_path);
+  const JournalJob& jj = journal.jobs().at(r3.job_id);
+  EXPECT_EQ(jj.completed_steps, s3->completed_steps);
+  EXPECT_EQ(jj.restart_file, cfg3.work_dir + "/job-" +
+                                 std::to_string(r3.job_id) + ".ck." +
+                                 std::to_string(jj.completed_steps));
+  EXPECT_TRUE(std::filesystem::exists(jj.restart_file));
+  journal.close();
 }
 
 TEST(JobServer, HandleFramesEndpointAnswersAndSurvivesGarbage) {
@@ -606,8 +866,8 @@ TEST(JobServer, HugeCadencesDegradeToOneSliceInsteadOfOverflowing) {
   // lcm(1999999999, 2000000000) overflows 32-bit; before the 64-bit
   // clamp this wedged the worker in an unbreakable quantum-search loop
   // (signed-overflow UB), so one bad-but-valid script hung the server
-  // and its destructor. Now the quantum degrades to a single full-run
-  // slice and the job completes normally.
+  // and its destructor. Now the quantum degrades to the whole run (no
+  // commit before the end) and the job completes normally.
   ServerConfig cfg = base_config("hugecadence");
   JobServer server(cfg);
   server.start();
@@ -680,7 +940,7 @@ TEST(JobServer, JournalWriteFailureDegradesServerInsteadOfTerminating) {
 }
 
 TEST(JobServer, RecoveredFullyProgressedJobStillStreamsAndWritesReport) {
-  // Crash window: the final slice's progress record landed but the
+  // Crash window: the final progress record landed but the
   // terminal record did not. Recovery requeues the job with
   // completed_steps == total; the next incarnation must still produce
   // the report and stream the complete thermo series before journaling
@@ -716,6 +976,11 @@ TEST(JobServer, RecoveredFullyProgressedJobStillStreamsAndWritesReport) {
     EXPECT_EQ(jobs[0].completed_steps, 20);
     EXPECT_EQ(all_chunks(server, job_id), reference);
     server.stop(StopMode::kDrain);
+  }
+  // The re-run recomputed steps 1-20, which the journal already holds:
+  // none of them is committed again, so journaled progress stays at 20.
+  for (const StateRecord& rec : state_records(cfg.journal_path)) {
+    EXPECT_EQ(rec.completed_steps, 20) << "journaled progress went back";
   }
   const std::string report_path =
       cfg.work_dir + "/job-" + std::to_string(job_id) + ".report.json";
@@ -785,7 +1050,7 @@ TEST(JobServer, CrashRecoveryCompletedStaysDoneInFlightResumesBitwise) {
     const SubmitReply sl = server.submit(make_submit("acme", "slow", slow));
     ASSERT_TRUE(sl.accepted);
     slow_id = sl.job_id;
-    // Wait for mid-flight progress (some slices journaled, job not done),
+    // Wait for mid-flight progress (a commit journaled, job not done),
     // then die without journaling anything further — kill -9 semantics.
     for (int i = 0; i < 10000; ++i) {
       const std::optional<JobStatus> s = server.status(slow_id);
@@ -819,7 +1084,7 @@ TEST(JobServer, CrashRecoveryCompletedStaysDoneInFlightResumesBitwise) {
   EXPECT_EQ(s->state, JobState::kDone);
   EXPECT_EQ(s->completed_steps, 60);
 
-  // The recovered incarnation streams the FULL series (its first slice
+  // The recovered incarnation streams the FULL series (its first commit
   // carries the checkpointed history), bitwise-identical to a run that
   // was never interrupted.
   EXPECT_EQ(all_chunks(server, slow_id), reference_thermo(slow, 10));
@@ -857,6 +1122,24 @@ TEST(JobServer, ChaosSoakKeepsQueueInvariantsAcrossKillRestartCycles) {
     specs.push_back(std::move(s));
   }
 
+  // After each kill, every unfinished job's journaled progress names a
+  // checkpoint file that exists, and no rank thread outlives the server.
+  const std::size_t threads_before = thread_count();
+  const auto check_abandoned_journal = [&] {
+    EXPECT_EQ(thread_count(), threads_before);
+    JobJournal journal;
+    journal.open(cfg.journal_path);
+    for (const auto& [id, jj] : journal.jobs()) {
+      if (jj.state == JobState::kDone || jj.completed_steps == 0) continue;
+      EXPECT_EQ(jj.restart_file, cfg.work_dir + "/job-" + std::to_string(id) +
+                                     ".ck." +
+                                     std::to_string(jj.completed_steps))
+          << jj.name;
+      EXPECT_TRUE(std::filesystem::exists(jj.restart_file)) << jj.name;
+    }
+    journal.close();
+  };
+
   std::vector<std::uint64_t> ids;
   {
     JobServer server(cfg);
@@ -870,6 +1153,7 @@ TEST(JobServer, ChaosSoakKeepsQueueInvariantsAcrossKillRestartCycles) {
     std::this_thread::sleep_for(std::chrono::milliseconds(30));
     server.stop(StopMode::kAbandon);
   }
+  check_abandoned_journal();
   {
     JobServer server(cfg);
     server.start();
@@ -884,6 +1168,7 @@ TEST(JobServer, ChaosSoakKeepsQueueInvariantsAcrossKillRestartCycles) {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     server.stop(StopMode::kAbandon);
   }
+  check_abandoned_journal();
 
   JobServer server(cfg);
   server.start();
@@ -904,6 +1189,13 @@ TEST(JobServer, ChaosSoakKeepsQueueInvariantsAcrossKillRestartCycles) {
     if (s.state == JobState::kDone) {
       ++done;
       EXPECT_EQ(s.completed_steps, s.total_steps) << s.name;
+      // A job this incarnation finished streamed its whole series, the
+      // resumed ones included, bitwise equal to an uninterrupted run.
+      if (s.chunks_available > 0) {
+        const std::string& script = specs[s.job_id - ids.front()].req.script;
+        EXPECT_EQ(all_chunks(server, s.job_id), reference_thermo(script, 10))
+            << s.name;
+      }
     } else if (s.state == JobState::kCancelled) {
       ++cancelled;
     } else {

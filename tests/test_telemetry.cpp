@@ -544,6 +544,36 @@ std::string melt_script(int run_steps, const std::string& extra = "") {
          extra + "run " + std::to_string(run_steps) + "\n";
 }
 
+TEST(LiveTelemetry, JobFinishedBetweenTicksStillCountsItsSteps) {
+  // The sampler ticks once at start and then not for an hour: the job
+  // runs to completion unseen, and the stats verb's tick is the first to
+  // see it. Its steps must still land in the window.
+  serve::ServerConfig cfg;
+  cfg.journal_path = tmp_path("telemetry_unseen.journal");
+  cfg.work_dir = fresh_dir("telemetry_unseen");
+  cfg.workers = 1;
+  cfg.telemetry.interval_ms = 3600000;
+  cfg.telemetry.window_ms = 3600000;
+  serve::JobServer server(cfg);
+  server.start();
+  while (server.telemetry()->ticks() == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  serve::SubmitRequest req;
+  req.tenant = "acme";
+  req.name = "brief";
+  req.script = melt_script(20);
+  ASSERT_TRUE(server.submit(req).accepted);
+  ASSERT_TRUE(server.wait_all_terminal(60000));
+
+  const util::JsonValue snap =
+      util::parse_json(server.telemetry_snapshot_json());
+  const util::JsonValue* server_obj = snap.find("server");
+  ASSERT_NE(server_obj, nullptr);
+  EXPECT_EQ(server_obj->get_num("steps_in_window"), 20.0);
+  server.stop(serve::StopMode::kDrain);
+}
+
 TEST(LiveTelemetry, TwoTenantsWithDeadlineMissBreachWithinOneSnapshot) {
   serve::ServerConfig cfg;
   cfg.journal_path = tmp_path("telemetry_live.journal");
