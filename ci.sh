@@ -11,9 +11,11 @@ cd "$(dirname "$0")"
 JOBS=${JOBS:-$(nproc)}
 
 # Kill-and-restart smoke: run the restart example to completion while
-# checkpointing every 20 steps, then pretend the job died after step 40
-# and resume from that checkpoint. The resumed trajectory must be
-# bitwise-identical to the uninterrupted one.
+# checkpointing every 15 steps, then pretend the job died after step 30
+# and resume from that checkpoint, cut inside a 20-step neighbor epoch.
+# The resumed trajectory must be bitwise-identical to the uninterrupted
+# one, and so must the same script with its checkpoint line deleted: a
+# checkpoint is no part of the trajectory.
 run_restart_smoke() {
   local build_dir="$1"
   echo "--- restart smoke (${build_dir}) ---"
@@ -22,12 +24,17 @@ run_restart_smoke() {
   trap 'rm -rf "${work}"' RETURN
   "${build_dir}/examples/lmp_cli" examples/in.restart.lj \
       --checkpoint-path "${work}/ck" --dump-final "${work}/full.dump"
-  test -f "${work}/ck.40" || { echo "restart smoke: ck.40 missing"; return 1; }
+  test -f "${work}/ck.30" || { echo "restart smoke: ck.30 missing"; return 1; }
   "${build_dir}/examples/lmp_cli" examples/in.restart.lj \
-      --restart "${work}/ck.40" --dump-final "${work}/resumed.dump"
+      --restart "${work}/ck.30" --dump-final "${work}/resumed.dump"
   diff "${work}/full.dump" "${work}/resumed.dump" \
       || { echo "restart smoke: resumed run diverged"; return 1; }
-  echo "restart smoke: bitwise-identical after restart from step 40"
+  sed '/^checkpoint /d' examples/in.restart.lj > "${work}/in.nockpt.lj"
+  "${build_dir}/examples/lmp_cli" "${work}/in.nockpt.lj" \
+      --dump-final "${work}/nockpt.dump"
+  diff "${work}/full.dump" "${work}/nockpt.dump" \
+      || { echo "restart smoke: checkpoints changed the trajectory"; return 1; }
+  echo "restart smoke: bitwise-identical after restart from step 30 and without checkpoints"
 }
 
 # Trace smoke: run the melt example (on the 6tni_p2p variant, whose

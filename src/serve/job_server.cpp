@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <numeric>
 #include <stdexcept>
 
 #include "obs/alloc_tracker.h"
@@ -21,21 +20,15 @@ std::string job_key(const std::string& tenant, const std::string& name) {
   return tenant + '\0' + name;
 }
 
-/// Progress-commit quantum for a parsed job: the smallest common
-/// multiple of the checkpoint and thermo cadences at least `preferred`
-/// steps long. A commit therefore always names a checkpoint file and
-/// follows a thermo sample, so a run stopped and resumed there streams a
-/// thermo series bitwise-identical to an uninterrupted one. A script
-/// that sets no checkpoint cadence is checkpointed on the quantum.
-///
-/// Computed in 64-bit and clamped to `total`: the cadences are
-/// client-controlled, and an lcm like lcm(1999999999, 2000000000)
-/// overflows int. A quantum >= total commits at most once, at the end.
-int slice_quantum(int checkpoint_every, int thermo_every, int preferred,
-                  int total) {
+/// Progress-commit quantum for a parsed job, which is also its checkpoint
+/// cadence: the smallest multiple of the thermo cadence at least
+/// `preferred` steps long, so a run stopped and resumed at a commit
+/// streams a thermo series bitwise-identical to an uninterrupted one.
+/// Computed in 64-bit (the cadences are client-controlled) and clamped
+/// to `total`: a quantum >= total commits at most once, at the end.
+int slice_quantum(int thermo_every, int preferred, int total) {
   const long long cap = std::max(total, 1);
-  const long long l = std::lcm(static_cast<long long>(std::max(1, checkpoint_every)),
-                               static_cast<long long>(std::max(1, thermo_every)));
+  const long long l = std::max(1, thermo_every);
   if (l >= cap) return static_cast<int>(cap);
   const long long q = (std::max(preferred, 1) + l - 1) / l * l;
   return static_cast<int>(std::min(q, cap));
@@ -583,9 +576,8 @@ void JobServer::run_one(std::uint64_t id) {
   try {
     if (cfg_.before_attempt_hook) cfg_.before_attempt_hook(id, attempt);
     opts = sim::parse_input_script(script).options;
-    const int quantum = slice_quantum(opts.checkpoint_every, opts.thermo_every,
-                                      cfg_.slice_steps, total);
-    if (opts.checkpoint_every == 0) opts.checkpoint_every = quantum;
+    opts.checkpoint_every =
+        slice_quantum(opts.thermo_every, cfg_.slice_steps, total);
     opts.checkpoint_path = prefix;
     // Every attempt resumes from the newest journaled checkpoint (none:
     // a full deterministic run), so a recovered job whose journal says
@@ -597,15 +589,14 @@ void JobServer::run_one(std::uint64_t id) {
     }
     if (cfg_.fault_plan.any_faults()) opts.faults = cfg_.fault_plan;
     opts.progress = live_step.get();
-    // Progress commit on every quantum boundary: stream the thermo, make
-    // the checkpoint the job's durable resume point, then stop the run
-    // if the job was cancelled, overran its deadline or the server is
+    // Progress commit at every checkpoint: stream the thermo, make the
+    // checkpoint the job's durable resume point, then stop the run if
+    // the job was cancelled, overran its deadline or the server is
     // abandoning. A step at or below the last commit was journaled
-    // already (a restart from an older file recomputes it): skip it.
-    opts.on_commit = [&, quantum](int step,
-                                  const std::vector<sim::ThermoSample>& thermo,
-                                  const sim::JobHealth& so_far) {
-      if (step <= committed || step % quantum != 0) return false;
+    // already (rollbacks and older restart files recompute): skip it.
+    opts.on_commit = [&](int step, const std::vector<sim::ThermoSample>& thermo,
+                         const sim::JobHealth& so_far) {
+      if (step <= committed) return false;
       committed = step;
       std::lock_guard<std::mutex> lk(mu_);
       Job& job = jobs_.at(id);

@@ -55,9 +55,9 @@ struct ServerConfig {
   std::uint32_t default_deadline_ms = 0;  ///< 0 = no deadline
   std::uint16_t default_max_attempts = 3;
   /// Preferred progress-commit cadence (steps). The actual quantum is
-  /// rounded up to a common multiple of checkpoint_every and
-  /// thermo_every, so every commit lands on a checkpoint and a thermo
-  /// step; a script that sets no `checkpoint` is checkpointed on it.
+  /// rounded up to a multiple of the script's thermo_every, so every
+  /// commit follows a thermo sample; the server checkpoints a job on its
+  /// quantum, whatever `checkpoint` its script sets.
   int slice_steps = 10;
   /// On-disk checkpoint retention per job: keep only the newest K
   /// checkpoint files (0 = keep everything, the pre-retention behavior).

@@ -28,8 +28,9 @@ constexpr std::uint16_t kFrameAtoms = 0x4B02;
 constexpr std::uint16_t kFrameThermo = 0x4B03;
 
 // Encoded sizes that bound a declared count by the bytes behind it: one
-// atom (tag + pos + vel) and one thermo sample (step + four doubles).
+// atom (tag + pos + vel), rebuild position, or thermo sample (step + 4).
 constexpr std::size_t kAtomBytes = sizeof(std::int64_t) + 6 * sizeof(double);
+constexpr std::size_t kVec3Bytes = 3 * sizeof(double);
 constexpr std::size_t kSampleBytes = sizeof(std::int32_t) + 4 * sizeof(double);
 
 void put_vec3(comm::WireWriter& w, const util::Vec3& v) {
@@ -63,13 +64,16 @@ void put_meta(comm::WireWriter& w, const CheckpointState& st) {
   w.str(st.comm_variant);
 }
 
-void put_atoms(comm::WireWriter& w, const std::vector<AtomState>& atoms) {
+void put_atoms(comm::WireWriter& w, const std::vector<AtomState>& atoms,
+               const std::vector<util::Vec3>& rebuild_pos) {
   w.i64(static_cast<std::int64_t>(atoms.size()));
   for (const AtomState& a : atoms) {
     w.i64(a.tag);
     put_vec3(w, a.pos);
     put_vec3(w, a.vel);
   }
+  w.i64(static_cast<std::int64_t>(rebuild_pos.size()));
+  for (const util::Vec3& p : rebuild_pos) put_vec3(w, p);
 }
 
 void put_thermo(comm::WireWriter& w, const std::vector<ThermoSample>& thermo) {
@@ -101,6 +105,10 @@ std::uint64_t checkpoint_content_hash(const CheckpointState& st) {
     const std::uint64_t n = atoms.size();
     h = hash64(&n, sizeof n, h);
     h = hash64(atoms.data(), atoms.size() * sizeof(AtomState), h);
+  }
+  for (const auto& key : st.rank_rebuild_pos) {
+    const std::uint64_t n = key.size();
+    h = hash64(key.data(), n * sizeof(util::Vec3), hash64(&n, sizeof n, h));
   }
   for (const ThermoSample& s : st.thermo) {
     h = hash64(&s.step, sizeof s.step, h);
@@ -159,9 +167,11 @@ void write_checkpoint(const std::string& path, const CheckpointState& st) {
     put_meta(w, st);
     put_frame(file, kFrameMeta, w);
   }
-  for (const auto& atoms : st.rank_atoms) {
+  for (std::size_t rank = 0; rank < st.rank_atoms.size(); ++rank) {
     comm::WireWriter w;
-    put_atoms(w, atoms);
+    put_atoms(w, st.rank_atoms[rank],
+              rank < st.rank_rebuild_pos.size() ? st.rank_rebuild_pos[rank]
+                                                : std::vector<util::Vec3>{});
     put_frame(file, kFrameAtoms, w);
   }
   {
@@ -261,6 +271,14 @@ CheckpointState read_checkpoint(const std::string& path) {
       a.pos = get_vec3(r);
       a.vel = get_vec3(r);
     }
+    std::vector<util::Vec3>& key = st.rank_rebuild_pos.emplace_back();
+    const std::int64_t nkey = r.i64();
+    if (nkey != 0 && nkey != n) {
+      throw std::runtime_error("checkpoint: rank " + std::to_string(rank) +
+                               "'s rebuild position count mismatch in " + path);
+    }
+    key.resize(r.count(nkey, kVec3Bytes));
+    for (util::Vec3& p : key) p = get_vec3(r);
     r.expect_done();
   }
   {

@@ -13,8 +13,8 @@ namespace lmp::sim {
 /// On-disk format version, carried by the file's header frame. Bumped
 /// whenever the frame layout changes; readers reject any other value
 /// instead of guessing. Version 2 made the file a sequence of
-/// comm/msg_codec.h frames.
-inline constexpr std::uint32_t kCheckpointVersion = 2;
+/// comm/msg_codec.h frames, version 3 added rebuild positions.
+inline constexpr std::uint32_t kCheckpointVersion = 3;
 
 /// Everything needed to resume a run bitwise-identically: per-rank owned
 /// atoms (no ghosts — they are rebuilt), box/geometry, the RNG seed (the
@@ -23,7 +23,7 @@ inline constexpr std::uint32_t kCheckpointVersion = 2;
 /// variant that was active when the checkpoint was cut.
 struct CheckpointState {
   int step = 0;
-  int checkpoint_every = 0;  ///< emission schedule; restart must match
+  int checkpoint_every = 0;  ///< emission schedule; a record restart ignores
   std::string comm_variant;
   std::uint64_t seed = 0;
   util::Int3 cells{0, 0, 0};
@@ -32,11 +32,14 @@ struct CheckpointState {
   geom::Box box{{0, 0, 0}, {0, 0, 0}};
   /// Owned atoms per rank, in each rank's local order at checkpoint time.
   std::vector<std::vector<AtomState>> rank_atoms;
+  /// With that order, the neighbor epoch's replay key: each atom's
+  /// position at the epoch's rebuild. Missing or empty means "pos".
+  std::vector<std::vector<util::Vec3>> rank_rebuild_pos;
   std::vector<ThermoSample> thermo;  ///< global series up to `step`
 };
 
 /// 64-bit content checksum over a checkpoint's physics payload (per-rank
-/// atom arrays chained, then step/thermo), computed with the
+/// atom and rebuild-position arrays, then step/thermo), computed with the
 /// sim/integrity xxhash-style mixer. Recorded when an in-memory rollback
 /// target is committed and re-verified before the attempt loop reuses
 /// it, so a bit flip that lands in the parked rollback state itself is

@@ -16,8 +16,7 @@
 
 namespace lmp::sim {
 
-JobResult run_simulation(const SimOptions& options, int nsteps) {
-  SimOptions opt = options;
+JobResult run_simulation(const SimOptions& opt, int nsteps) {
 
   if (opt.executor != "barrier" && opt.executor != "async") {
     throw std::runtime_error("unknown executor '" + opt.executor +
@@ -57,19 +56,8 @@ JobResult run_simulation(const SimOptions& options, int nsteps) {
 
   std::shared_ptr<const CheckpointState> resume;
   if (!opt.restart_file.empty()) {
-    auto st =
+    resume =
         std::make_shared<CheckpointState>(read_checkpoint(opt.restart_file));
-    // The emission schedule is part of the trajectory (checkpoint steps
-    // force rebuilds), so a restart must run the same schedule.
-    if (opt.checkpoint_every == 0) {
-      opt.checkpoint_every = st->checkpoint_every;
-    } else if (opt.checkpoint_every != st->checkpoint_every) {
-      throw std::runtime_error(
-          "restart: checkpoint_every " + std::to_string(opt.checkpoint_every) +
-          " does not match the checkpoint file's " +
-          std::to_string(st->checkpoint_every));
-    }
-    resume = std::move(st);
   }
 
   const int max_failovers = opt.max_failovers < 0
@@ -77,6 +65,7 @@ JobResult run_simulation(const SimOptions& options, int nsteps) {
                                 : opt.max_failovers;
 
   JobResult res;  // the job record every attempt adds into
+  res.restart_step = resume ? resume->step : 0;  // rollbacks move `resume`
   JobHealth& health = res.health;
   std::uint64_t resume_hash = 0;
   int last_detect_step = -1;
@@ -87,7 +76,6 @@ JobResult run_simulation(const SimOptions& options, int nsteps) {
     const AttemptOutcome at =
         run_attempt(opt, variant, resume, nsteps, mem.get(), res);
     if (at.ok) {
-      res.restart_step = resume ? resume->step : 0;
       res.final_comm = variant;
       if (mem) {
         health.mem_flips_injected =

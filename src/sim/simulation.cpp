@@ -89,9 +89,10 @@ struct JobShared {
   std::vector<ThermoSample> thermo;  ///< written by rank 0 only
 
   // --- checkpoint plumbing --------------------------------------------
-  /// Per-rank staging area for owned atoms; rank 0 assembles the staged
-  /// rows into a CheckpointState between two barriers.
+  /// Per-rank staging area for owned atoms and their rebuild positions;
+  /// rank 0 assembles them into a CheckpointState between two barriers.
   std::vector<std::vector<AtomState>> ckpt_stage;
+  std::vector<std::vector<util::Vec3>> ckpt_stage_hold;
   std::shared_ptr<const CheckpointState> last_ckpt;  ///< rollback target
   double ckpt_io_seconds = 0.0;
   std::uint64_t ckpts_written = 0;
@@ -159,6 +160,7 @@ struct JobShared {
     density = static_cast<double>(natoms_total) / global.volume();
     results.resize(static_cast<std::size_t>(decomp.nranks()));
     ckpt_stage.resize(static_cast<std::size_t>(decomp.nranks()));
+    ckpt_stage_hold.resize(static_cast<std::size_t>(decomp.nranks()));
   }
 
   /// First failure wins: later notes (aborted/poisoned wakeups on peer
@@ -195,6 +197,7 @@ struct JobShared {
     st->natoms = natoms_total;
     st->box = global;
     st->rank_atoms = ckpt_stage;
+    st->rank_rebuild_pos = ckpt_stage_hold;
     st->thermo = thermo;
     if (!opt.checkpoint_path.empty()) {
       const auto t0 = std::chrono::steady_clock::now();
@@ -253,12 +256,14 @@ class RankSim {
     atoms_.reserve_capacity(cap);
 
     if (job.restart) {
-      // Checkpointed atoms are post-exchange: every row already lives in
-      // its owner's sub-box, so the startup exchange migrates nothing and
-      // the restarted trajectory stays bitwise-identical.
-      const auto& mine =
-          job.restart->rank_atoms[static_cast<std::size_t>(rank)];
-      for (const AtomState& a : mine) atoms_.add_local(a.pos, a.vel, a.tag);
+      // At their epoch's post-exchange rebuild positions, the atoms stay
+      // put in the startup exchange and the startup rebuild replays it.
+      const std::size_t r = static_cast<std::size_t>(rank);
+      const auto& a = job.restart->rank_atoms[r];
+      const auto& key = job.restart->rank_rebuild_pos[r];
+      for (std::size_t i = 0; i < a.size(); ++i) {
+        atoms_.add_local(key.empty() ? a[i].pos : key[i], a[i].vel, a[i].tag);
+      }
     } else {
       for (std::size_t i = 0; i < job.positions.size(); ++i) {
         if (job.decomp.owner_of(job.positions[i]) == rank) {
@@ -336,6 +341,7 @@ class RankSim {
     job_.world.barrier(rank_);  // addresses published on every rank
 
     rebuild();
+    if (job_.restart) resume_positions();
     compute_forces();
 
     if (job_.opt.integrity.enabled()) {
@@ -361,12 +367,8 @@ class RankSim {
       }
       inject_owned(step_);  // planned pos/vel bit flips land here
 
-      // Checkpoint steps force a rebuild (skipping the check-yes
-      // allreduce): the snapshot must be post-exchange so a restarted
-      // run's startup rebuild reproduces this exact state.
-      const bool ckpt_step = ckpt_every > 0 && step_ % ckpt_every == 0;
-      bool do_rebuild = ckpt_step;
-      if (!do_rebuild && step_ % cfg.neigh.every == 0) {
+      bool do_rebuild = false;
+      if (step_ % cfg.neigh.every == 0) {
         if (cfg.neigh.check) {
           obs::ScopedStage s(timer_, Stage::kOther);
           // "check yes": everyone learns whether any atom anywhere moved
@@ -406,7 +408,7 @@ class RankSim {
       // transient-recovery recompute bitwise-identical to a clean run.
       if (guard_step(step_)) check_integrity(step_);
 
-      if (ckpt_step) {
+      if (ckpt_every > 0 && step_ % ckpt_every == 0) {
         // A stop from the commit hook ends the run here on every rank.
         if (stage_checkpoint(step_)) break;
         check_health(step_);
@@ -466,6 +468,21 @@ class RankSim {
       groups_.build_footprints(list_, cfg.newton, atoms_.ntotal());
       build_step_graph();
     }
+  }
+
+  /// Restart: put the current positions back over the epoch the startup
+  /// rebuild replayed, and forward them to the ghosts.
+  void resume_positions() {
+    int i = 0;
+    for (const AtomState& a : job_.restart->rank_atoms[static_cast<std::size_t>(rank_)]) {
+      if (i >= atoms_.nlocal() || atoms_.tag(i) != a.tag) {
+        throw std::runtime_error("restart: rank " + std::to_string(rank_) +
+                                 "'s rebuild positions leave its sub-box");
+      }
+      atoms_.set_pos(i++, a.pos);
+    }
+    obs::ScopedStage s(timer_, Stage::kComm);
+    comm_->forward_positions();
   }
 
   /// The one force path: the epoch's step DAG, run serially in
@@ -650,18 +667,21 @@ class RankSim {
     if (rank_ == 0) job_.thermo.push_back({step, state});
   }
 
-  /// End-of-step checkpoint: stage my owned atoms, then let rank 0
-  /// freeze the collective snapshot between two barriers. The first
-  /// barrier orders every rank's staging before the commit; the second
-  /// keeps the stage buffers stable until the commit is done and
-  /// publishes the commit hook's verdict: true means stop at this step.
+  /// End-of-step checkpoint: stage my owned atoms and their rebuild
+  /// positions, then let rank 0 freeze the collective snapshot between
+  /// two barriers. The first barrier orders every rank's staging before
+  /// the commit; the second keeps the stage buffers stable until the
+  /// commit is done and publishes the commit hook's verdict.
   bool stage_checkpoint(int step) {
     obs::ScopedStage s(timer_, Stage::kOther);
     auto& mine = job_.ckpt_stage[static_cast<std::size_t>(rank_)];
+    auto& hold = job_.ckpt_stage_hold[static_cast<std::size_t>(rank_)];
     mine.clear();
-    mine.reserve(static_cast<std::size_t>(atoms_.nlocal()));
+    hold.clear();
     for (int i = 0; i < atoms_.nlocal(); ++i) {
+      const double* h = hold_.data() + 3 * i;
       mine.push_back({atoms_.tag(i), atoms_.pos(i), atoms_.vel(i)});
+      hold.push_back({h[0], h[1], h[2]});
     }
     job_.world.barrier(rank_);
     if (rank_ == 0) job_.commit_checkpoint(step);

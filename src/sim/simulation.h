@@ -68,9 +68,9 @@ struct SimOptions {
   /// checkpoints in memory only.
   std::string checkpoint_path;
   /// Resume from this checkpoint file instead of generating the lattice.
-  /// Geometry/seed in the file must match the options; `checkpoint_every`
-  /// is adopted from the file when the option is 0 and must match when
-  /// nonzero (a different schedule breaks bitwise-identical restart).
+  /// Geometry/seed in the file must match the options. The checkpoint
+  /// cadence need not: a checkpoint carries its neighbor epoch, so a
+  /// restart under any cadence continues the same trajectory.
   std::string restart_file;
   /// Degradation ladder tried in order after the active variant fails.
   /// Empty means `comm::default_failover_chain()`.
@@ -214,8 +214,8 @@ struct JobResult {
   JobHealth health;
   long natoms = 0;
   double volume = 0.0;
-  /// Step the (final) attempt resumed from: 0 for a fresh start, the
-  /// checkpoint step for restarts and post-failover attempts.
+  /// Step of the restart file the run started from (0 without one);
+  /// rollbacks and failovers are reported by their events' resume_step.
   int restart_step = 0;
   /// Step at which SimOptions::on_commit stopped the run; 0 when it ran
   /// to nsteps.
@@ -243,7 +243,7 @@ struct JobResult {
 /// pair (with EAM mid-pair comm), reverse, final integrate, thermo.
 ///
 /// Self-healing: when `checkpoint_every` is set, each checkpoint step
-/// forces a neighbor rebuild and snapshots owned atoms + thermo (and
+/// snapshots owned atoms, their neighbor epoch's key and thermo (and
 /// writes `<checkpoint_path>.<step>` if a path is given). A hard comm
 /// error (timeout, severed route, fabric abort) or a tripped health
 /// threshold tears the job down, rolls back to the last checkpoint, and

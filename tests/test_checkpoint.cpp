@@ -7,6 +7,7 @@
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "comm/msg_codec.h"
@@ -37,6 +38,8 @@ sim::CheckpointState sample_state() {
       {{2, {4.0, 5.0, 6.0}, {0.0, 0.0, -1.0}},
        {3, {6.5, 6.5, 6.5}, {1e-17, -1e300, 0.0}}},
   };
+  // Rank 0 was cut mid-epoch; rank 1 carries no key ("equal to pos").
+  st.rank_rebuild_pos = {{{0.75, 2.0, 3.0}, {0.1, 0.125, 0.3}}, {}};
   st.thermo = {{20, {1.25, -2.5, 100.0, -1300.0}},
                {40, {1.125, -2.25, 99.0, -1299.0}}};
   return st;
@@ -142,6 +145,15 @@ TEST(Checkpoint, RoundTripIsBitwise) {
       EXPECT_EQ(b.rank_atoms[r][i].vel.x, a.rank_atoms[r][i].vel.x);
       EXPECT_EQ(b.rank_atoms[r][i].vel.y, a.rank_atoms[r][i].vel.y);
       EXPECT_EQ(b.rank_atoms[r][i].vel.z, a.rank_atoms[r][i].vel.z);
+    }
+  }
+  ASSERT_EQ(b.rank_rebuild_pos.size(), a.rank_rebuild_pos.size());
+  for (std::size_t r = 0; r < a.rank_rebuild_pos.size(); ++r) {
+    ASSERT_EQ(b.rank_rebuild_pos[r].size(), a.rank_rebuild_pos[r].size());
+    for (std::size_t i = 0; i < a.rank_rebuild_pos[r].size(); ++i) {
+      EXPECT_EQ(b.rank_rebuild_pos[r][i].x, a.rank_rebuild_pos[r][i].x);
+      EXPECT_EQ(b.rank_rebuild_pos[r][i].y, a.rank_rebuild_pos[r][i].y);
+      EXPECT_EQ(b.rank_rebuild_pos[r][i].z, a.rank_rebuild_pos[r][i].z);
     }
   }
   ASSERT_EQ(b.thermo.size(), a.thermo.size());
@@ -280,7 +292,8 @@ TEST(Checkpoint, OtherVersionsRejectedByNumber) {
   const std::vector<char> file = sample_file(path);
   const comm::FrameView header = comm::decode_frame(file.data(), file.size());
   ASSERT_TRUE(header.ok());
-  for (std::uint32_t version : {1u, 3u}) {
+  // Version 2 is the format before the rebuild positions.
+  for (std::uint32_t version : {1u, 2u, 4u}) {
     comm::WireWriter w;
     w.u32(version);
     std::vector<char> bytes;
@@ -310,6 +323,24 @@ TEST(Checkpoint, ForgedAtomCountFailsWithoutAllocating) {
   forge<std::int64_t>(file, at, std::int64_t{1} << 40, at + 8);
   const std::string msg = read_error(path, file);
   EXPECT_NE(msg.find("count"), std::string::npos) << msg;
+  EXPECT_EQ(msg.find("CRC"), std::string::npos) << msg;
+  std::remove(path.c_str());
+}
+
+TEST(Checkpoint, ForgedRebuildCountFailsWithoutAllocating) {
+  // Rank 0's rebuild position count forged to 2^40: it must match the
+  // atom count, and is refused before anything is sized by it.
+  const std::string path = tmp_path("ckpt_forged_key.bin");
+  std::vector<char> file = sample_file(path);
+  std::vector<char> pattern;
+  append_raw<std::int64_t>(pattern, 2);  // rank 0's key count...
+  append_raw<double>(pattern, 0.75);     // ...then its first position
+  const std::size_t at = find_bytes(file, pattern);
+  ASSERT_NE(at, std::string::npos);
+  forge<std::int64_t>(file, at, std::int64_t{1} << 40, at + 8);
+  const std::string msg = read_error(path, file);
+  EXPECT_NE(msg.find("rank 0's rebuild position count mismatch"),
+            std::string::npos) << msg;
   EXPECT_EQ(msg.find("CRC"), std::string::npos) << msg;
   std::remove(path.c_str());
 }
@@ -361,6 +392,18 @@ void expect_atoms_bitwise_equal(const std::vector<sim::AtomState>& a,
   }
 }
 
+void expect_runs_bitwise_equal(const sim::JobResult& a,
+                               const sim::JobResult& b) {
+  expect_atoms_bitwise_equal(a.atoms, b.atoms);
+  ASSERT_EQ(a.thermo.size(), b.thermo.size());
+  for (std::size_t i = 0; i < a.thermo.size(); ++i) {
+    EXPECT_EQ(a.thermo[i].step, b.thermo[i].step);
+    EXPECT_EQ(a.thermo[i].state.temperature, b.thermo[i].state.temperature);
+    EXPECT_EQ(a.thermo[i].state.pressure, b.thermo[i].state.pressure);
+    EXPECT_EQ(a.thermo[i].state.total(), b.thermo[i].state.total());
+  }
+}
+
 class RestartBitwise : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(RestartBitwise, InterruptedRunEqualsUninterrupted) {
@@ -374,19 +417,15 @@ TEST_P(RestartBitwise, InterruptedRunEqualsUninterrupted) {
   EXPECT_EQ(a.health.checkpoints_written, 3u);
   EXPECT_EQ(a.restart_step, 0);
 
-  // "Kill" after step 20: resume from the step-20 file and finish.
-  sim::SimOptions resumed = restart_opts(variant);
-  resumed.restart_file = prefix + ".20";
-  const sim::JobResult b = sim::run_simulation(resumed, 30);
-  EXPECT_EQ(b.restart_step, 20);
-
-  expect_atoms_bitwise_equal(a.atoms, b.atoms);
-  ASSERT_EQ(a.thermo.size(), b.thermo.size());
-  for (std::size_t i = 0; i < a.thermo.size(); ++i) {
-    EXPECT_EQ(a.thermo[i].step, b.thermo[i].step);
-    EXPECT_EQ(a.thermo[i].state.temperature, b.thermo[i].state.temperature);
-    EXPECT_EQ(a.thermo[i].state.pressure, b.thermo[i].state.pressure);
-    EXPECT_EQ(a.thermo[i].state.total(), b.thermo[i].state.total());
+  // "Kill" after step 10 or 20 and resume from that file. Neighbor
+  // lists rebuild every 20 steps, so the step-10 file was cut mid-epoch
+  // and the step-20 file on a rebuild.
+  for (int step : {10, 20}) {
+    sim::SimOptions resumed = restart_opts(variant);
+    resumed.restart_file = prefix + "." + std::to_string(step);
+    const sim::JobResult b = sim::run_simulation(resumed, 30);
+    EXPECT_EQ(b.restart_step, step);
+    expect_runs_bitwise_equal(a, b);
   }
   for (int s : {10, 20, 30}) {
     std::remove((prefix + "." + std::to_string(s)).c_str());
@@ -396,29 +435,92 @@ TEST_P(RestartBitwise, InterruptedRunEqualsUninterrupted) {
 INSTANTIATE_TEST_SUITE_P(Variants, RestartBitwise,
                          ::testing::Values("ref", "6tni_p2p"));
 
-TEST(Restart, AdoptsScheduleFromFileAndRejectsMismatch) {
+TEST(Restart, AnyCadenceEqualsUninterrupted) {
+  // A checkpoint carries its neighbor epoch, so a mid-epoch file resumes
+  // under no cadence, its own or any other to the same trajectory.
   const std::string prefix = tmp_path("ckpt_sched");
   sim::SimOptions full = restart_opts("ref");
+  full.checkpoint_every = 7;
   full.checkpoint_path = prefix;
-  const sim::JobResult a = sim::run_simulation(full, 20);
+  const sim::JobResult a = sim::run_simulation(full, 30);
 
-  // checkpoint_every omitted: adopted from the file, trajectory matches.
-  sim::SimOptions adopt = restart_opts("ref");
-  adopt.checkpoint_every = 0;
-  adopt.restart_file = prefix + ".10";
-  const sim::JobResult b = sim::run_simulation(adopt, 20);
-  expect_atoms_bitwise_equal(a.atoms, b.atoms);
-
-  // A different explicit schedule would change the forced-rebuild steps.
-  sim::SimOptions clash = restart_opts("ref");
-  clash.checkpoint_every = 7;
-  clash.restart_file = prefix + ".10";
-  EXPECT_THROW(sim::run_simulation(clash, 20), std::runtime_error);
-
-  for (int s : {10, 20}) {
+  for (int every : {0, 7, 10, 3}) {
+    sim::SimOptions resumed = restart_opts("ref");
+    resumed.checkpoint_every = every;
+    resumed.restart_file = prefix + ".14";
+    const sim::JobResult b = sim::run_simulation(resumed, 30);
+    EXPECT_EQ(b.restart_step, 14);
+    expect_runs_bitwise_equal(a, b);
+  }
+  for (int s : {7, 14, 21, 28}) {
     std::remove((prefix + "." + std::to_string(s)).c_str());
   }
 }
+
+TEST(Restart, RebuildPositionOutsideSubBoxRefused) {
+  // A key that puts one of rank 0's atoms in rank 1's sub-box would make
+  // the startup exchange move it, and its current position would land on
+  // another atom: the restart refuses instead.
+  const std::string prefix = tmp_path("ckpt_badkey");
+  sim::SimOptions full = restart_opts("ref");
+  full.checkpoint_path = prefix;
+  (void)sim::run_simulation(full, 10);
+  sim::CheckpointState st = sim::read_checkpoint(prefix + ".10");
+  ASSERT_FALSE(st.rank_rebuild_pos.at(0).empty());
+  st.rank_rebuild_pos[0][0].x = 0.75 * st.box.hi.x;
+  sim::write_checkpoint(prefix + ".bad", st);
+
+  sim::SimOptions resumed = restart_opts("ref");
+  resumed.restart_file = prefix + ".bad";
+  try {
+    (void)sim::run_simulation(resumed, 20);
+    FAIL() << "a key outside the sub-box was replayed";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("rebuild positions leave its sub-box"),
+              std::string::npos) << e.what();
+  }
+  std::remove((prefix + ".10").c_str());
+  std::remove((prefix + ".bad").c_str());
+}
+
+// --- the checkpoint cadence is no part of the trajectory ----------------
+
+using CadenceCase = std::tuple<bool, bool, std::string, std::string>;
+
+class CheckpointCadence : public ::testing::TestWithParam<CadenceCase> {};
+
+TEST_P(CheckpointCadence, EverySevenStepsEqualsNone) {
+  const auto [eam, check, executor, variant] = GetParam();
+  sim::SimOptions o;
+  o.config = eam ? md::SimConfig::eam_copper() : md::SimConfig::lj_melt();
+  o.cells = {4, 4, 4};
+  o.rank_grid = {2, 1, 1};
+  o.comm = variant;
+  o.executor = executor;
+  o.thermo_every = 5;
+  // Checkpoints at steps 7, 14, 21 and 28 all fall inside an epoch.
+  o.config.neigh = {check ? 5 : 10, check};
+  const sim::JobResult plain = sim::run_simulation(o, 30);
+  o.checkpoint_every = 7;
+  const sim::JobResult checkpointed = sim::run_simulation(o, 30);
+  EXPECT_EQ(checkpointed.health.checkpoints_written, 4u);
+  expect_runs_bitwise_equal(plain, checkpointed);
+}
+
+std::string cadence_case_name(const ::testing::TestParamInfo<CadenceCase>& info) {
+  const auto [eam, check, executor, variant] = info.param;
+  return std::string(eam ? "Eam" : "Lj") + (check ? "CheckYes" : "CheckNo") +
+         "_" + executor + "_" + variant;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Matrix, CheckpointCadence,
+    ::testing::Combine(::testing::Bool(), ::testing::Bool(),
+                       ::testing::Values(std::string("barrier"),
+                                         std::string("async")),
+                       ::testing::Values(std::string("6tni_p2p"),
+                                         std::string("ref"))),
+    cadence_case_name);
 
 TEST(Restart, GeometryMismatchRejected) {
   const std::string prefix = tmp_path("ckpt_geom");

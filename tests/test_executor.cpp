@@ -201,17 +201,6 @@ TEST(Executor, AsyncNewtonOffUsesRingForward) {
   expect_bitwise_equal(barrier, async);
 }
 
-TEST(Executor, AsyncWorksWithCheckpointRebuilds) {
-  // Checkpoint steps force rebuilds mid-run; the DAG must be rebuilt
-  // per epoch and the serial rebuild-step path must stay consistent.
-  SimOptions o = lj_case("6tni_p2p");
-  o.checkpoint_every = 7;
-  const JobResult barrier = run_simulation(o, 21);
-  o.executor = "async";
-  const JobResult async = run_simulation(o, 21);
-  expect_bitwise_equal(barrier, async);
-}
-
 TEST(Executor, OptVariantIsRunToRunReproducible) {
   // "opt" fans its reverse accumulation across 6 comm threads; the
   // staged canonical-order settle makes the add order (and hence the

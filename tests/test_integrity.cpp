@@ -56,8 +56,7 @@ SimOptions lj_case() {
   // a flipped coordinate must reach a guard before it reaches binning.
   o.config.neigh.every = 20;
   o.config.neigh.check = false;
-  // Checkpoint steps force rebuilds, i.e. the schedule is part of the
-  // trajectory — the clean reference and the guarded run must share it.
+  // The rollback target; checkpoints leave the trajectory alone.
   o.checkpoint_every = 10;
   return o;
 }
@@ -92,8 +91,7 @@ tofu::MemFault vel_flip(int step, bool persistent = false) {
 }
 
 /// Guards are pure sentinels — arming them must not perturb the
-/// trajectory (the checkpoint schedule, which does, lives in the case
-/// builders so clean and guarded runs share it).
+/// trajectory.
 void arm_guards(SimOptions& o, int cadence = 5) {
   o.integrity.cadence = cadence;
 }
@@ -175,6 +173,18 @@ TEST(Integrity, TransientFlipHealsBitwiseEamAsync) {
   o.executor = "async";
   o.executor_threads = 3;
   expect_transient_recovery(o, 30);
+}
+
+TEST(Integrity, RollbackIsNotARestart) {
+  // restart_step names the file a run started from; a run with none that
+  // healed a flip reports 0, and the rollback only in its event.
+  SimOptions o = lj_case();
+  arm_guards(o);
+  o.faults.mem_faults.push_back(vel_flip(15));
+  const JobResult healed = run_simulation(o, 30);
+  EXPECT_EQ(healed.restart_step, 0);
+  ASSERT_EQ(healed.health.integrity_events.size(), 1u);
+  EXPECT_EQ(healed.health.integrity_events[0].resume_step, 10);
 }
 
 TEST(Integrity, PersistentFlipEscalatesToIntegrityError) {
@@ -273,12 +283,18 @@ TEST(Checkpoint, ContentHashSeesEveryField) {
   CheckpointState st;
   st.step = 10;
   st.rank_atoms.push_back({{1, {1.0, 2.0, 3.0}, {0.1, 0.2, 0.3}}});
+  st.rank_rebuild_pos.push_back({{1.0, 2.0, 2.5}});
   st.thermo.push_back({10, {}});
   const std::uint64_t ref = checkpoint_content_hash(st);
   EXPECT_EQ(checkpoint_content_hash(st), ref);
   CheckpointState mut = st;
   mut.rank_atoms[0][0].pos.x = std::bit_cast<double>(
       std::bit_cast<std::uint64_t>(mut.rank_atoms[0][0].pos.x) ^ 1ULL);
+  EXPECT_NE(checkpoint_content_hash(mut), ref);
+  // A flipped epoch key would replay a different neighbor epoch.
+  mut = st;
+  mut.rank_rebuild_pos[0][0].z = std::bit_cast<double>(
+      std::bit_cast<std::uint64_t>(mut.rank_rebuild_pos[0][0].z) ^ 1ULL);
   EXPECT_NE(checkpoint_content_hash(mut), ref);
   mut = st;
   mut.step = 11;

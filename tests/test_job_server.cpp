@@ -64,15 +64,12 @@ std::string thermo_text(const std::vector<sim::ThermoSample>& thermo) {
   return out;
 }
 
-/// Uninterrupted reference run with the server's effective checkpoint
-/// cadence (checkpoint steps force a neighbor rebuild, so the reference
-/// must share the schedule for a bitwise comparison to be meaningful).
-std::string reference_thermo(const std::string& script, int checkpoint_every) {
-  sim::ParsedScript parsed = sim::parse_input_script(script);
-  sim::SimOptions opts = parsed.options;
-  opts.checkpoint_every = checkpoint_every;
-  const sim::JobResult r = sim::run_simulation(opts, parsed.run_steps);
-  return thermo_text(r.thermo);
+/// Uninterrupted reference run of the script as written. The server
+/// checkpoints a job on its own cadence, which the trajectory does not
+/// see.
+std::string reference_thermo(const std::string& script) {
+  const sim::ParsedScript parsed = sim::parse_input_script(script);
+  return thermo_text(sim::run_simulation(parsed.options, parsed.run_steps).thermo);
 }
 
 std::string all_chunks(const JobServer& server, std::uint64_t job_id) {
@@ -373,9 +370,8 @@ TEST(JobServer, RunsJobStreamsBitwiseIdenticalThermoAndWritesReport) {
   EXPECT_EQ(s->total_steps, 20);
   EXPECT_GE(s->chunks_available, 2u);  // 20 steps / 10-step commits
 
-  // The streamed thermo is bitwise-identical to an uninterrupted run
-  // with the same checkpoint cadence.
-  EXPECT_EQ(all_chunks(server, r.job_id), reference_thermo(script, 10));
+  // The streamed thermo is bitwise-identical to an uninterrupted run.
+  EXPECT_EQ(all_chunks(server, r.job_id), reference_thermo(script));
 
   const std::string base =
       cfg.work_dir + "job-" + std::to_string(r.job_id);
@@ -392,12 +388,44 @@ TEST(JobServer, RunsJobStreamsBitwiseIdenticalThermoAndWritesReport) {
   server.stop(StopMode::kDrain);
 }
 
+TEST(JobServer, ServedDumpEqualsRunOfItsScript) {
+  // The server checkpoints every 10 steps, inside the script's 20-step
+  // neighbor epochs, and the script asks for no checkpoints: the served
+  // job still computes exactly what run_simulation computes on it.
+  ServerConfig cfg = base_config("dump");
+  cfg.write_dumps = true;
+  JobServer server(cfg);
+  server.start();
+  const std::string script =
+      melt_script(30, 5, "neigh_modify every 20 check no\n");
+  const SubmitReply r = server.submit(make_submit("acme", "dump", script));
+  ASSERT_TRUE(r.accepted);
+  ASSERT_TRUE(server.wait_all_terminal(60000));
+  EXPECT_EQ(server.status(r.job_id)->state, JobState::kDone);
+  server.stop(StopMode::kDrain);
+
+  const sim::ParsedScript p = sim::parse_input_script(script);
+  std::string expected;
+  char line[512];
+  for (const sim::AtomState& a :
+       sim::run_simulation(p.options, p.run_steps).atoms) {
+    std::snprintf(line, sizeof line, "%lld %.17g %.17g %.17g %.17g %.17g %.17g\n",
+                  static_cast<long long>(a.tag), a.pos.x, a.pos.y, a.pos.z,
+                  a.vel.x, a.vel.y, a.vel.z);
+    expected += line;
+  }
+  std::ifstream dump(cfg.work_dir + "job-" + std::to_string(r.job_id) + ".dump");
+  std::stringstream got;
+  got << dump.rdbuf();
+  EXPECT_EQ(got.str(), expected);
+}
+
 TEST(JobServer, ReportCoversTheWholeRun) {
   // A served job is one run: its report starts at step 0 and counts
   // every checkpoint, not just those after the last progress commit.
   ServerConfig cfg = base_config("report");
   const std::string script = melt_script(20);
-  const std::string reference = reference_thermo(script, 10);
+  const std::string reference = reference_thermo(script);
   std::uint64_t id = 0;
   {
     JobServer server(cfg);
@@ -475,7 +503,7 @@ TEST(JobServer, HealsInjectedMemoryFlipAndSurfacesIntegrityCounters) {
 
   // The healed stream still matches the fault-free reference bitwise,
   // and the rollback's recomputed steps were committed once.
-  EXPECT_EQ(all_chunks(server, r.job_id), reference_thermo(script, 10));
+  EXPECT_EQ(all_chunks(server, r.job_id), reference_thermo(script));
   expect_commits_once(cfg.journal_path, r.job_id);
 
   const ServeStats st = server.stats();
@@ -527,7 +555,7 @@ TEST(JobServer, DeadTniFailoverCommitsEachStepOnce) {
   EXPECT_EQ(s->completed_steps, 30);
   const std::string thermo = all_chunks(server, r.job_id);
   expect_rows_once(thermo);
-  EXPECT_EQ(thermo, reference_thermo(script, 10));
+  EXPECT_EQ(thermo, reference_thermo(script));
   expect_commits_once(cfg.journal_path, r.job_id);
 
   const util::JsonValue rep = read_report(cfg.work_dir, r.job_id);
@@ -681,7 +709,7 @@ TEST(JobServer, TransientFaultRetriesThenSucceeds) {
   EXPECT_EQ(server.stats().retries, 1u);
   EXPECT_EQ(server.stats().completed, 1u);
   // The retried run still streams the complete, bitwise-correct series.
-  EXPECT_EQ(all_chunks(server, r.job_id), reference_thermo(script, 10));
+  EXPECT_EQ(all_chunks(server, r.job_id), reference_thermo(script));
   server.stop(StopMode::kDrain);
 }
 
@@ -863,11 +891,13 @@ TEST(JobServer, HandleFramesEndpointAnswersAndSurvivesGarbage) {
 }
 
 TEST(JobServer, HugeCadencesDegradeToOneSliceInsteadOfOverflowing) {
-  // lcm(1999999999, 2000000000) overflows 32-bit; before the 64-bit
-  // clamp this wedged the worker in an unbreakable quantum-search loop
-  // (signed-overflow UB), so one bad-but-valid script hung the server
-  // and its destructor. Now the quantum degrades to the whole run (no
-  // commit before the end) and the job completes normally.
+  // Client-controlled cadences near INT_MAX: before the 64-bit clamp a
+  // huge-cadence script wedged the worker in an unbreakable quantum-
+  // search loop (signed-overflow UB), so one bad-but-valid script hung
+  // the server and its destructor. Now a 2000000000-step thermo cadence
+  // degrades the quantum to the whole run (no commit before the end)
+  // and the job completes normally. The server checkpoints on that
+  // quantum, not on the script's own cadence.
   ServerConfig cfg = base_config("hugecadence");
   JobServer server(cfg);
   server.start();
@@ -884,7 +914,7 @@ TEST(JobServer, HugeCadencesDegradeToOneSliceInsteadOfOverflowing) {
   EXPECT_EQ(s->completed_steps, 10);
   // Still bitwise-identical to the uninterrupted reference run with the
   // script's own (never-firing) checkpoint cadence.
-  EXPECT_EQ(all_chunks(server, r.job_id), reference_thermo(script, 1999999999));
+  EXPECT_EQ(all_chunks(server, r.job_id), reference_thermo(script));
   server.stop(StopMode::kDrain);
 }
 
@@ -913,7 +943,7 @@ TEST(JobServer, JournalWriteFailureDegradesServerInsteadOfTerminating) {
   const std::optional<JobStatus> s = server.status(r.job_id);
   ASSERT_TRUE(s.has_value());
   EXPECT_EQ(s->state, JobState::kDone) << s->detail;
-  EXPECT_EQ(all_chunks(server, r.job_id), reference_thermo(script, 10));
+  EXPECT_EQ(all_chunks(server, r.job_id), reference_thermo(script));
   EXPECT_TRUE(server.running());
 
   const SubmitReply after = server.submit(make_submit("acme", "late", script));
@@ -946,7 +976,7 @@ TEST(JobServer, RecoveredFullyProgressedJobStillStreamsAndWritesReport) {
   // the report and stream the complete thermo series before journaling
   // kDone — not short-circuit into an artifact-less terminal state.
   const std::string script = melt_script(20);
-  const std::string reference = reference_thermo(script, 10);
+  const std::string reference = reference_thermo(script);
 
   // Variant 1: no checkpoint survived (crash before the first cadence
   // multiple would be rare but legal) — a full deterministic re-run.
@@ -1087,7 +1117,7 @@ TEST(JobServer, CrashRecoveryCompletedStaysDoneInFlightResumesBitwise) {
   // The recovered incarnation streams the FULL series (its first commit
   // carries the checkpointed history), bitwise-identical to a run that
   // was never interrupted.
-  EXPECT_EQ(all_chunks(server, slow_id), reference_thermo(slow, 10));
+  EXPECT_EQ(all_chunks(server, slow_id), reference_thermo(slow));
   EXPECT_EQ(server.recovery().jobs_seen, 2u);
   server.stop(StopMode::kDrain);
 }
@@ -1193,7 +1223,7 @@ TEST(JobServer, ChaosSoakKeepsQueueInvariantsAcrossKillRestartCycles) {
       // resumed ones included, bitwise equal to an uninterrupted run.
       if (s.chunks_available > 0) {
         const std::string& script = specs[s.job_id - ids.front()].req.script;
-        EXPECT_EQ(all_chunks(server, s.job_id), reference_thermo(script, 10))
+        EXPECT_EQ(all_chunks(server, s.job_id), reference_thermo(script))
             << s.name;
       }
     } else if (s.state == JobState::kCancelled) {
